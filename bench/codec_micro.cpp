@@ -9,6 +9,10 @@
 // is the per-kernel throughput.  Compare e.g.
 //   BM_KernelMulAdd/scalar/1024  vs  BM_KernelMulAdd/avx2/1024
 // (docs/KERNELS.md records measured ratios; the acceptance floor is 4x).
+//
+// BM_Crc32/<kernel>/<len> does the same for the CRC-32 kernels every
+// sealed and parsed frame pays for; BM_Crc32/bytewise is the constexpr
+// reference loop they replaced.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -18,6 +22,7 @@
 #include "gf/gf.hpp"
 #include "gf/kernels.hpp"
 #include "gf/matrix.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -149,6 +154,32 @@ void BM_EncodeKernelSweep(benchmark::State& state,
                           static_cast<std::int64_t>(k * len));
 }
 
+void BM_Crc32(benchmark::State& state, const pbl::crc::Kernel* k,
+              std::size_t len) {
+  const auto data = random_packets(1, len)[0];
+  for (auto _ : state) {
+    std::uint32_t c = k != nullptr
+                          ? k->compute(data.data(), len, 0)
+                          : pbl::detail::crc32_bytewise(data);
+    benchmark::DoNotOptimize(c);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(len));
+}
+
+void register_crc_sweeps() {
+  // 1046 B is one sealed frame of a 1 KiB payload.
+  for (const std::size_t len : {64u, 1046u, 8192u}) {
+    const std::string tail = "/" + std::to_string(len);
+    benchmark::RegisterBenchmark(("BM_Crc32/bytewise" + tail).c_str(),
+                                 BM_Crc32, nullptr, len);
+    for (const pbl::crc::Kernel* k : pbl::crc::available_kernels())
+      benchmark::RegisterBenchmark(
+          ("BM_Crc32/" + std::string(k->name) + tail).c_str(), BM_Crc32, k,
+          len);
+  }
+}
+
 void register_kernel_sweeps() {
   for (const pbl::gf::kern::Kernel* k : pbl::gf::kern::available_kernels()) {
     const std::string name(k->name);
@@ -179,6 +210,7 @@ void register_kernel_sweeps() {
 
 int main(int argc, char** argv) {
   register_kernel_sweeps();
+  register_crc_sweeps();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -4,6 +4,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -22,10 +23,13 @@ namespace pbl::net {
 
 namespace {
 
-// Frames per sendmmsg/recvmmsg syscall.  Large enough to amortise the
-// kernel crossing, small enough that the mmsghdr scaffolding stays on
-// the stack (tx) or in a modest thread-local scratch (rx).
+// Datagrams per sendmmsg/recvmmsg syscall.  Large enough to amortise
+// the kernel crossing, small enough that the mmsghdr scaffolding stays
+// on the stack (tx) or in a modest thread-local scratch (rx).  With GSO
+// one tx entry carries up to kGsoMaxSegments frames, so the frames per
+// sendmmsg are capped separately by the iovec array.
 constexpr std::size_t kTxChunk = 128;
+constexpr std::size_t kTxFrames = 1024;
 constexpr std::size_t kRxChunk = 16;
 constexpr std::size_t kMaxDatagram = 65536;
 // Malformed datagrams up to this size are run through FrameStreamDecoder
@@ -33,6 +37,19 @@ constexpr std::size_t kMaxDatagram = 65536;
 // O(size * frame) in the worst case, so a hostile peer flooding max-size
 // garbage must not buy that work: larger junk is just counted + dropped.
 constexpr std::size_t kSalvageLimit = 4096;
+
+#if defined(PBL_HAVE_MMSG) && defined(UDP_SEGMENT) && defined(UDP_GRO)
+#define PBL_HAVE_UDP_OFFLOAD 1
+// One super-datagram: at most the kernel's UDP_MAX_SEGMENTS on every
+// kernel that has GSO, and at most the largest IPv4 UDP payload
+// (65535 - 20 IP - 8 UDP header bytes).
+constexpr std::size_t kGsoMaxSegments = 64;
+constexpr std::size_t kGsoMaxBytes = 65507;
+#endif
+
+// Sockets constructed while this is positive skip the offload probe
+// (ScopedUdpOffloadProbeFailure).
+std::atomic<int> g_offload_probe_failures{0};
 
 sockaddr_in loopback(std::uint16_t port) {
   sockaddr_in addr{};
@@ -105,6 +122,55 @@ ScopedUdpBackendOverride::~ScopedUdpBackendOverride() {
   g_backend_override.store(previous_, std::memory_order_release);
 }
 
+ScopedUdpOffloadProbeFailure::ScopedUdpOffloadProbeFailure() {
+  g_offload_probe_failures.fetch_add(1, std::memory_order_acq_rel);
+}
+
+ScopedUdpOffloadProbeFailure::~ScopedUdpOffloadProbeFailure() {
+  g_offload_probe_failures.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+namespace {
+
+#ifdef PBL_HAVE_UDP_OFFLOAD
+// Whether the kernel accepts UDP_SEGMENT at all, probed once per
+// process on a throwaway socket (0 = "no default segment size", so the
+// probe changes nothing).
+bool kernel_has_gso() {
+  static const bool has = [] {
+    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    if (fd < 0) return false;
+    int zero = 0;
+    const bool ok =
+        ::setsockopt(fd, SOL_UDP, UDP_SEGMENT, &zero, sizeof(zero)) == 0;
+    ::close(fd);
+    return ok;
+  }();
+  return has;
+}
+
+bool set_gro(int fd, bool on) {
+  int v = on ? 1 : 0;
+  return ::setsockopt(fd, SOL_UDP, UDP_GRO, &v, sizeof(v)) == 0;
+}
+
+// The segment size the kernel reports on a GRO-coalesced buffer, 0 for
+// a plain datagram.
+std::size_t gro_segment_size(const msghdr& h) {
+  for (cmsghdr* c = CMSG_FIRSTHDR(&h); c != nullptr;
+       c = CMSG_NXTHDR(const_cast<msghdr*>(&h), c)) {
+    if (c->cmsg_level == SOL_UDP && c->cmsg_type == UDP_GRO) {
+      int seg = 0;
+      std::memcpy(&seg, CMSG_DATA(c), sizeof(seg));
+      return seg > 0 ? static_cast<std::size_t>(seg) : 0;
+    }
+  }
+  return 0;
+}
+#endif
+
+}  // namespace
+
 UdpSocket::UdpSocket(std::uint16_t port) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0)
@@ -125,6 +191,14 @@ UdpSocket::UdpSocket(std::uint16_t port) {
     throw std::system_error(err, std::generic_category(), "getsockname");
   }
   port_ = ntohs(bound.sin_port);
+#ifdef PBL_HAVE_UDP_OFFLOAD
+  if (g_offload_probe_failures.load(std::memory_order_acquire) == 0) {
+    gso_ = kernel_has_gso();
+    // GRO changes what a plain recvfrom returns, so only sockets that
+    // will be drained by the batched backend (which splits) turn it on.
+    if (active_udp_backend() == UdpBackend::kBatched) gro_ = set_gro(fd_, true);
+  }
+#endif
 }
 
 UdpSocket::~UdpSocket() {
@@ -142,7 +216,9 @@ UdpSocket::UdpSocket(UdpSocket&& other) noexcept
       inject_every_(other.inject_every_), inject_burst_(other.inject_burst_),
       inject_burst_left_(other.inject_burst_left_),
       attempted_sends_(other.attempted_sends_),
-      injected_failures_(other.injected_failures_) {
+      injected_failures_(other.injected_failures_), gso_(other.gso_),
+      gro_(other.gro_), gso_sends_(other.gso_sends_),
+      gro_coalesced_(other.gro_coalesced_) {
   other.fd_ = -1;
   other.port_ = 0;
   other.inject_count_ = 0;
@@ -169,6 +245,10 @@ UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
     inject_burst_left_ = other.inject_burst_left_;
     attempted_sends_ = other.attempted_sends_;
     injected_failures_ = other.injected_failures_;
+    gso_ = other.gso_;
+    gro_ = other.gro_;
+    gso_sends_ = other.gso_sends_;
+    gro_coalesced_ = other.gro_coalesced_;
     other.fd_ = -1;
     other.port_ = 0;
     other.inject_count_ = 0;
@@ -244,29 +324,70 @@ BatchSendResult UdpSocket::send_batch(std::span<const FrameRef> frames) {
 #ifdef PBL_HAVE_MMSG
   if (active_udp_backend() == UdpBackend::kBatched) {
     while (result.sent < frames.size()) {
-      const std::size_t chunk =
-          std::min(kTxChunk, frames.size() - result.sent);
       sockaddr_in dests[kTxChunk];
-      iovec iovs[kTxChunk];
       mmsghdr msgs[kTxChunk];
-      std::memset(msgs, 0, chunk * sizeof(mmsghdr));
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const FrameRef& f = frames[result.sent + i];
-        dests[i] = loopback(f.dest_port);
-        iovs[i].iov_base = const_cast<std::uint8_t*>(f.bytes.data());
-        iovs[i].iov_len = f.bytes.size();
-        msgs[i].msg_hdr.msg_name = &dests[i];
-        msgs[i].msg_hdr.msg_namelen = sizeof(dests[i]);
-        msgs[i].msg_hdr.msg_iov = &iovs[i];
-        msgs[i].msg_hdr.msg_iovlen = 1;
+      std::size_t runs[kTxChunk];  // frames carried by each entry
+      iovec iovs[kTxFrames];
+#ifdef PBL_HAVE_UDP_OFFLOAD
+      alignas(cmsghdr) unsigned char
+          ctrl[kTxChunk][CMSG_SPACE(sizeof(std::uint16_t))];
+#endif
+      std::size_t entries = 0;
+      std::size_t used = 0;  // iovecs
+      std::size_t next = result.sent;
+      while (entries < kTxChunk && used < kTxFrames && next < frames.size()) {
+        const FrameRef& head = frames[next];
+        const std::size_t size = head.bytes.size();
+        std::size_t run = 1;
+#ifdef PBL_HAVE_UDP_OFFLOAD
+        if (gso_ && size > 0) {
+          const std::size_t cap =
+              std::min({kGsoMaxSegments, kGsoMaxBytes / size,
+                        kTxFrames - used, frames.size() - next});
+          while (run < cap && frames[next + run].dest_port == head.dest_port &&
+                 frames[next + run].bytes.size() == size)
+            ++run;
+        }
+#endif
+        for (std::size_t i = 0; i < run; ++i) {
+          iovs[used + i].iov_base =
+              const_cast<std::uint8_t*>(frames[next + i].bytes.data());
+          iovs[used + i].iov_len = size;
+        }
+        dests[entries] = loopback(head.dest_port);
+        msghdr& h = msgs[entries].msg_hdr;
+        std::memset(&msgs[entries], 0, sizeof(mmsghdr));
+        h.msg_name = &dests[entries];
+        h.msg_namelen = sizeof(dests[entries]);
+        h.msg_iov = &iovs[used];
+        h.msg_iovlen = run;
+#ifdef PBL_HAVE_UDP_OFFLOAD
+        if (run > 1) {
+          // The kernel cuts the super-datagram back into `run` datagrams
+          // of `size` bytes: the same datagrams, one crossing.
+          h.msg_control = ctrl[entries];
+          h.msg_controllen = sizeof(ctrl[entries]);
+          cmsghdr* c = CMSG_FIRSTHDR(&h);
+          c->cmsg_level = SOL_UDP;
+          c->cmsg_type = UDP_SEGMENT;
+          c->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+          const auto seg = static_cast<std::uint16_t>(size);
+          std::memcpy(CMSG_DATA(c), &seg, sizeof(seg));
+        }
+#endif
+        runs[entries++] = run;
+        used += run;
+        next += run;
       }
       int n;
+      bool injected = false;
       for (;;) {
         if (const int inj = consume_injected_send()) {
           errno = inj;
           n = -1;
+          injected = true;
         } else {
-          n = ::sendmmsg(fd_, msgs, static_cast<unsigned>(chunk), 0);
+          n = ::sendmmsg(fd_, msgs, static_cast<unsigned>(entries), 0);
         }
         if (n < 0 && errno == EINTR) continue;
         break;
@@ -277,16 +398,28 @@ BatchSendResult UdpSocket::send_batch(std::span<const FrameRef> frames) {
           result.status = SendStatus::kWouldBlock;
           return result;
         }
+        if (!injected && runs[0] > 1 && (errno == EINVAL || errno == EIO)) {
+          // The kernel refused the segmentation request on this path:
+          // fall back to one datagram per frame and resend the chunk.
+          gso_ = false;
+          result.last_errno = 0;
+          continue;
+        }
         throw std::system_error(errno, std::generic_category(), "sendmmsg");
       }
+      std::size_t done = 0;
+      for (int i = 0; i < n; ++i) {
+        done += runs[i];
+        if (runs[i] > 1) ++gso_sends_;
+      }
       if (tx_tap_) {
-        for (int i = 0; i < n; ++i) {
-          const FrameRef& f = frames[result.sent + static_cast<std::size_t>(i)];
+        for (std::size_t i = 0; i < done; ++i) {
+          const FrameRef& f = frames[result.sent + i];
           tx_tap_(f.dest_port, f.bytes);
         }
       }
-      result.sent += static_cast<std::size_t>(n);
-      if (static_cast<std::size_t>(n) < chunk) {
+      result.sent += done;
+      if (static_cast<std::size_t>(n) < entries) {
         // Kernel took a prefix of the chunk: partial send.  Report
         // would-block so the caller resumes from frames[sent].
         result.status = SendStatus::kWouldBlock;
@@ -323,6 +456,18 @@ void UdpSocket::send_batch_blocking(std::span<const FrameRef> frames) {
   }
 }
 
+void UdpSocket::enqueue_received(std::uint16_t src,
+                                 std::span<const std::uint8_t> bytes) {
+  // Duplicates inherit the original datagram's source.
+  if (impairment_) {
+    for (auto& b : impairment_->apply_bytes(bytes))
+      pending_.push_back({src, std::move(b)});
+  } else {
+    pending_.push_back(
+        {src, std::vector<std::uint8_t>(bytes.begin(), bytes.end())});
+  }
+}
+
 std::size_t UdpSocket::drain_ready() {
 #ifdef PBL_HAVE_MMSG
   if (active_udp_backend() == UdpBackend::kBatched) {
@@ -334,6 +479,9 @@ std::size_t UdpSocket::drain_ready() {
       sockaddr_in srcs[kRxChunk];
       iovec iovs[kRxChunk];
       mmsghdr msgs[kRxChunk];
+#ifdef PBL_HAVE_UDP_OFFLOAD
+      alignas(cmsghdr) unsigned char ctrl[kRxChunk][CMSG_SPACE(sizeof(int))];
+#endif
     };
     thread_local RxScratch scratch;
     std::memset(scratch.msgs, 0, sizeof(scratch.msgs));
@@ -345,6 +493,12 @@ std::size_t UdpSocket::drain_ready() {
       scratch.msgs[i].msg_hdr.msg_iovlen = 1;
       scratch.msgs[i].msg_hdr.msg_name = &scratch.srcs[i];
       scratch.msgs[i].msg_hdr.msg_namelen = sizeof(scratch.srcs[i]);
+#ifdef PBL_HAVE_UDP_OFFLOAD
+      if (gro_) {
+        scratch.msgs[i].msg_hdr.msg_control = scratch.ctrl[i];
+        scratch.msgs[i].msg_hdr.msg_controllen = sizeof(scratch.ctrl[i]);
+      }
+#endif
     }
     timespec no_wait{0, 0};
     int n;
@@ -352,24 +506,40 @@ std::size_t UdpSocket::drain_ready() {
       n = ::recvmmsg(fd_, scratch.msgs, kRxChunk, MSG_DONTWAIT, &no_wait);
     } while (n < 0 && errno == EINTR);
     if (n <= 0) return 0;
+    std::size_t datagrams = 0;
     for (int i = 0; i < n; ++i) {
       const std::span<const std::uint8_t> raw{
           static_cast<const std::uint8_t*>(scratch.iovs[i].iov_base),
           scratch.msgs[i].msg_len};
       const std::uint16_t src = ntohs(scratch.srcs[i].sin_port);
-      // Impairment is applied per datagram in kernel receive order —
-      // exactly the order the fallback's one-at-a-time loop would see.
-      // Duplicates inherit the original datagram's source.
-      if (impairment_) {
-        for (auto& bytes : impairment_->apply_bytes(raw))
-          pending_.push_back({src, std::move(bytes)});
-      } else {
-        pending_.push_back(
-            {src, std::vector<std::uint8_t>(raw.begin(), raw.end())});
+      std::size_t seg = 0;
+#ifdef PBL_HAVE_UDP_OFFLOAD
+      if (gro_) seg = gro_segment_size(scratch.msgs[i].msg_hdr);
+#endif
+      if (seg == 0 || seg >= raw.size()) {
+        // Impairment is applied per datagram in kernel receive order —
+        // exactly the order the fallback's one-at-a-time loop would see.
+        enqueue_received(src, raw);
+        ++datagrams;
+        continue;
+      }
+      // A GRO-coalesced buffer: every segment but the last is `seg`
+      // bytes.  Split first, so each datagram is impaired and parsed on
+      // its own, in arrival order.
+      for (std::size_t off = 0; off < raw.size(); off += seg) {
+        enqueue_received(src,
+                         raw.subspan(off, std::min(seg, raw.size() - off)));
+        ++datagrams;
+        ++gro_coalesced_;
       }
     }
-    return static_cast<std::size_t>(n);
+    return datagrams;
   }
+#endif
+#ifdef PBL_HAVE_UDP_OFFLOAD
+  // recvfrom cannot see segment boundaries: a socket created on the
+  // batched backend but drained here stops accepting coalesced buffers.
+  if (gro_) gro_ = !set_gro(fd_, false);
 #endif
   std::uint8_t buf[kMaxDatagram];
   sockaddr_in src_addr{};
@@ -378,15 +548,8 @@ std::size_t UdpSocket::drain_ready() {
       ::recvfrom(fd_, buf, sizeof(buf), MSG_DONTWAIT,
                  reinterpret_cast<sockaddr*>(&src_addr), &src_len);
   if (got < 0) return 0;
-  const std::span<const std::uint8_t> raw{buf, static_cast<std::size_t>(got)};
-  const std::uint16_t src = ntohs(src_addr.sin_port);
-  if (impairment_) {
-    for (auto& bytes : impairment_->apply_bytes(raw))
-      pending_.push_back({src, std::move(bytes)});
-  } else {
-    pending_.push_back(
-        {src, std::vector<std::uint8_t>(raw.begin(), raw.end())});
-  }
+  enqueue_received(ntohs(src_addr.sin_port),
+                   {buf, static_cast<std::size_t>(got)});
   return 1;
 }
 

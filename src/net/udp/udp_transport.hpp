@@ -14,6 +14,17 @@
 // tests/test_udp_differential.cpp.  PBL_UDP_BACKEND=batched|fallback
 // forces either at runtime, and ScopedUdpBackendOverride pins one for a
 // test's scope.
+//
+// Segmentation offload: where the kernel supports it, the batched
+// backend also hands each run of adjacent same-destination, same-size
+// frames to the kernel as ONE super-datagram carrying a UDP_SEGMENT
+// control message (GSO), and receives with UDP_GRO so a coalesced
+// buffer crosses the kernel once and is split back into its datagrams
+// here.  The wire is unchanged: the kernel segments on send, and every
+// split datagram is impaired, CRC-checked and salvaged on its own.  The
+// offload is probed once; when it is absent the batched backend sends
+// one datagram per frame, as it always did.  docs/DATAPLANE.md has the
+// details.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +71,19 @@ class ScopedUdpBackendOverride {
 
  private:
   int previous_;
+};
+
+/// Test hook: sockets constructed while one of these is alive see the
+/// segmentation-offload probe fail, exactly as on a kernel without
+/// UDP_SEGMENT/UDP_GRO, and run the per-frame batched data plane.
+/// Nestable.
+class ScopedUdpOffloadProbeFailure {
+ public:
+  ScopedUdpOffloadProbeFailure();
+  ~ScopedUdpOffloadProbeFailure();
+  ScopedUdpOffloadProbeFailure(const ScopedUdpOffloadProbeFailure&) = delete;
+  ScopedUdpOffloadProbeFailure& operator=(
+      const ScopedUdpOffloadProbeFailure&) = delete;
 };
 
 /// Why a send stopped.  Transient kernel pushback (EAGAIN/EWOULDBLOCK/
@@ -137,9 +161,11 @@ class UdpSocket {
                         std::span<const std::uint8_t> frame);
 
   /// Hands a batch of frames to the kernel — one sendmmsg per chunk on
-  /// the batched backend, a sendto loop on the fallback.  Stops at the
-  /// first would-block; `sent` frames (a prefix) are on the wire.  Hard
-  /// errors throw after reporting nothing-sent-beyond-`sent`.
+  /// the batched backend, a sendto loop on the fallback.  With GSO on,
+  /// each run of adjacent frames sharing a destination and a size (at
+  /// most 64 frames and 65507 bytes) is one sendmmsg entry.  Stops at
+  /// the first would-block; `sent` frames (a prefix) are on the wire.
+  /// Hard errors throw after reporting nothing-sent-beyond-`sent`.
   BatchSendResult send_batch(std::span<const FrameRef> frames);
 
   /// send_batch with partial-send resume: polls the socket writable and
@@ -212,6 +238,16 @@ class UdpSocket {
   std::uint64_t frame_resyncs() const noexcept { return frame_resyncs_; }
   std::uint64_t frames_skipped() const noexcept { return frames_skipped_; }
 
+  /// Whether this socket sends with UDP_SEGMENT / receives with UDP_GRO
+  /// (probe passed; GRO only for sockets created on the batched backend).
+  bool gso_enabled() const noexcept { return gso_; }
+  bool gro_enabled() const noexcept { return gro_; }
+  /// Super-datagrams (sendmmsg entries of two or more frames) handed to
+  /// the kernel.
+  std::uint64_t gso_sends() const noexcept { return gso_sends_; }
+  /// Datagrams split out of GRO-coalesced receive buffers.
+  std::uint64_t gro_coalesced() const noexcept { return gro_coalesced_; }
+
  private:
   SendStatus send_raw(std::uint16_t dest_port,
                       std::span<const std::uint8_t> bytes);
@@ -219,8 +255,12 @@ class UdpSocket {
   /// this attempt must fail with, or 0 to let the real syscall run.
   int consume_injected_send();
   /// Pulls every readable datagram into pending_ (post-impairment).
-  /// Returns the number of raw datagrams read off the socket.
+  /// Returns the number of datagrams read off the socket, counting each
+  /// segment of a GRO-coalesced buffer.
   std::size_t drain_ready();
+  /// Queues one received datagram, through the impairment if installed.
+  void enqueue_received(std::uint16_t src,
+                        std::span<const std::uint8_t> bytes);
   /// Pops pending_ until a datagram parses (directly or salvaged via
   /// FrameStreamDecoder); nullopt when drained.
   std::optional<Datagram> parse_pending();
@@ -247,6 +287,10 @@ class UdpSocket {
   std::size_t inject_burst_left_ = 0;
   std::uint64_t attempted_sends_ = 0;
   std::uint64_t injected_failures_ = 0;
+  bool gso_ = false;
+  bool gro_ = false;
+  std::uint64_t gso_sends_ = 0;
+  std::uint64_t gro_coalesced_ = 0;
 };
 
 /// Emulated multicast group: fan-out over member ports.

@@ -7,6 +7,7 @@
 #include <sys/epoll.h>
 #endif
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -110,13 +111,17 @@ bool Reactor::wait_ready(double wait_s, std::vector<int>& ready) {
 
 #ifdef __linux__
   if (backend_ == Backend::kEpoll) {
-    epoll_event events[64];
-    const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+    // Room for every registered fd: one wait reports all that are ready,
+    // as poll(2) does, so due timers never run ahead of I/O that was
+    // already waiting (see poll_once).
+    events_.resize(std::max<std::size_t>(handlers_.size(), 1));
+    const int n = ::epoll_wait(epoll_fd_, events_.data(),
+                               static_cast<int>(events_.size()), timeout_ms);
     if (n < 0) {
       if (errno == EINTR) return false;
       throw std::system_error(errno, std::generic_category(), "epoll_wait");
     }
-    for (int i = 0; i < n; ++i) ready.push_back(events[i].data.fd);
+    for (int i = 0; i < n; ++i) ready.push_back(events_[i].data.fd);
     return n > 0;
   }
 #endif

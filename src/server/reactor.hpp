@@ -23,6 +23,10 @@
 
 #include "protocol/retry.hpp"
 
+#ifdef __linux__
+struct epoll_event;
+#endif
+
 namespace pbl::server {
 
 class Reactor {
@@ -54,7 +58,8 @@ class Reactor {
   /// short waits, so an embedded caller should stop() from a handler.
   void run();
   /// One wait-dispatch round, blocking at most `max_wait_s` (0 = only
-  /// what is ready now).  Returns true if any handler or timer ran.
+  /// what is ready now): every ready fd's handler runs once, then every
+  /// due timer.  Returns true if any handler or timer ran.
   bool poll_once(double max_wait_s);
   void stop() noexcept { stopped_ = true; }
   bool stopped() const noexcept { return stopped_; }
@@ -78,6 +83,9 @@ class Reactor {
   Backend backend_ = Backend::kPoll;
   const protocol::Clock* clock_;
   int epoll_fd_ = -1;
+#ifdef __linux__
+  std::vector<epoll_event> events_;  ///< epoll_wait output, one per fd
+#endif
   bool stopped_ = false;
   std::unordered_map<int, std::function<void()>> handlers_;
   std::unordered_map<TimerId, std::function<void()>> timer_fns_;

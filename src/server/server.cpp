@@ -117,6 +117,12 @@ std::vector<obs::MetricDef> MulticastServer::server_metric_defs() {
       {"total_frames_skipped", K::kCounter,
        "unparseable frames dropped on the receive path, all sessions",
        {}, {}},
+      {"total_gso_sends", K::kCounter,
+       "UDP_SEGMENT super-datagrams (two or more frames per kernel "
+       "crossing) sent, all sessions", {}, {}},
+      {"total_gro_coalesced", K::kCounter,
+       "datagrams received inside GRO-coalesced buffers, all sessions", {},
+       {}},
       {"fault_injected_send", K::kCounter,
        "injected send-syscall failures absorbed, all sessions", {}, {}},
       {"fault_injected_journal", K::kCounter,
@@ -132,6 +138,8 @@ std::vector<obs::MetricDef> MulticastServer::server_metric_defs() {
        {}},
       {"journal_bytes_total", K::kGauge,
        "bytes across all active session journals", {}, {}},
+      {"payload_bytes_held", K::kGauge,
+       "session payload bytes held in memory (released at finalize)", {}, {}},
       {"session_duration_seconds", K::kHistogram,
        "wall-clock lifetime of finalized sessions",
        {0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0}, {}},
@@ -570,6 +578,7 @@ void MulticastServer::refresh_server_metrics() {
                             static_cast<double>(reactor_.timer_count()));
   server_metrics_.set_gauge("uptime_seconds", reactor_.now() - started_at_);
   double journal_bytes = 0.0;
+  double payload_bytes = 0.0;
   std::uint64_t fsend = fault_injected_send_;
   std::uint64_t fjournal = fault_injected_journal_;
   for (const auto& [id, s] : sessions_) {
@@ -578,8 +587,12 @@ void MulticastServer::refresh_server_metrics() {
       fjournal += s->journal->journal().write_failures();
     }
     if (s->sender) fsend += s->sender->injected_send_failures();
+    for (const auto& tg : s->spec.groups)
+      for (const auto& pkt : tg)
+        payload_bytes += static_cast<double>(pkt.size());
   }
   server_metrics_.set_gauge("journal_bytes_total", journal_bytes);
+  server_metrics_.set_gauge("payload_bytes_held", payload_bytes);
   server_metrics_.set_counter("fault_injected_send", fsend);
   server_metrics_.set_counter("fault_injected_journal", fjournal);
   server_metrics_.set_counter("fault_injected_socket", fault_injected_socket_);
@@ -662,7 +675,12 @@ void MulticastServer::finalize_session(std::uint64_t id, bool drained) {
                       s.metrics.counter("frame_resyncs"));
   server_metrics_.inc("total_frames_skipped",
                       s.metrics.counter("frames_skipped"));
-  if (s.sender) fault_injected_send_ += s.sender->injected_send_failures();
+  if (s.sender) {
+    fault_injected_send_ += s.sender->injected_send_failures();
+    server_metrics_.inc("total_gso_sends", s.sender->gso_sends());
+  }
+  for (const auto& r : s.receivers)
+    server_metrics_.inc("total_gro_coalesced", r->gro_coalesced());
   if (s.journal)
     fault_injected_journal_ += s.journal->journal().write_failures();
   server_metrics_.observe("session_duration_seconds", duration);
@@ -688,6 +706,9 @@ void MulticastServer::finalize_session(std::uint64_t id, bool drained) {
   s.receivers.clear();
   s.adversary.reset();
   s.journal.reset();
+  // The payload too: only the drivers read it, and a long-lived server
+  // would otherwise hold every session it ever served.
+  std::vector<net::TgBytes>().swap(s.spec.groups);
   if (state != "drained") remove_session_files(s);
   s.finalized = true;
   --active_count_;

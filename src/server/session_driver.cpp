@@ -152,17 +152,23 @@ bool SenderSessionDriver::send_to_targets(fec::Packet packet) {
   return true;
 }
 
-void SenderSessionDriver::stage_frame(std::span<const std::uint8_t> frame) {
+void SenderSessionDriver::fan_out_staged() {
+  // Member-major: each member's frames sit next to each other, so
+  // send_batch can hand a member's share to the kernel as one GSO
+  // super-datagram.  Every member's own stream is unchanged; only the
+  // interleaving across members differs from packet-major order.
+  const auto fan = [this](std::uint16_t port) {
+    for (const auto frame : staged_) burst_.push_back({port, frame});
+  };
+  const auto& members = group_.members();
   if (burst_phase_ == BurstPhase::kCatchUpParity) {
     // Catch-up repair is unicast to the stragglers: the healthy group
     // already holds this TG and must not pay for the laggards' loss.
-    const auto& members = group_.members();
-    for (const std::size_t m : cu_targets_)
-      burst_.push_back({members[m], frame});
-    return;
+    for (const std::size_t m : cu_targets_) fan(members[m]);
+  } else {
+    for (const std::uint16_t port : members) fan(port);
   }
-  for (const std::uint16_t port : group_.members())
-    burst_.push_back({port, frame});
+  staged_.clear();
 }
 
 void SenderSessionDriver::start_burst(BurstPhase phase, std::size_t count) {
@@ -215,9 +221,10 @@ void SenderSessionDriver::pump_burst() {
                                            frame->bytes);
         ++stats_.parity_sent;
       }
-      stage_frame(frame->bytes.first(len));
+      staged_.push_back(frame->bytes.first(len));
       ++stage_next_;
     }
+    fan_out_staged();
 
     // Flush everything staged but unsent.  send_batch's prefix contract
     // keeps the wire byte-identical however the burst is chopped.

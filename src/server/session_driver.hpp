@@ -72,6 +72,8 @@ class SenderSessionDriver {
   std::uint64_t frames_skipped() const noexcept {
     return socket_.frames_skipped();
   }
+  /// GSO super-datagrams sent (see UdpSocket::gso_sends).
+  std::uint64_t gso_sends() const noexcept { return socket_.gso_sends(); }
 
  private:
   /// What the in-flight burst carries — determines the frame writer, the
@@ -87,9 +89,10 @@ class SenderSessionDriver {
   bool send_mc(fec::Packet packet);
   /// Best-effort unicast of a control packet to the catch-up targets.
   bool send_to_targets(fec::Packet packet);
-  /// Fans a pre-framed DATA/PARITY frame out to the burst's destination
-  /// set (the whole group, or cu_targets_ during catch-up).
-  void stage_frame(std::span<const std::uint8_t> frame);
+  /// Fans the frames staged since the last call out to the burst's
+  /// destination set (the whole group, or cu_targets_ during catch-up),
+  /// member-major.
+  void fan_out_staged();
   /// Opens a resumable burst of `count` logical packets and pumps it.
   void start_burst(BurstPhase phase, std::size_t count);
   /// The burst engine: stages frames as the pacer and arena allow,
@@ -142,6 +145,7 @@ class SenderSessionDriver {
   // arena slabs and batched per burst (see UdpNpSender::transfer).
   std::unique_ptr<net::PacketArena> arena_;
   std::vector<net::FrameRef> burst_;
+  std::vector<std::span<const std::uint8_t>> staged_;  ///< not yet fanned out
   std::vector<bool> evicted_;
   std::vector<std::size_t> silent_;
   std::vector<std::vector<bool>> delivered_;
@@ -254,6 +258,10 @@ class ReceiverSessionDriver {
   }
   std::uint64_t frames_skipped() const noexcept {
     return socket_.frames_skipped();
+  }
+  /// Datagrams split out of GRO-coalesced buffers (UdpSocket).
+  std::uint64_t gro_coalesced() const noexcept {
+    return socket_.gro_coalesced();
   }
 
  private:

@@ -22,6 +22,7 @@
 
 #include "core/file_transfer.hpp"
 #include "protocol/layered_protocol.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::core {
@@ -36,8 +37,7 @@ std::uint64_t chaos_seed(std::uint64_t base) {
 class CrashResumeTest : public ::testing::Test {
  protected:
   std::string temp_path() {
-    path_ = ::testing::TempDir() + "pbl_session_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".log";
+    path_ = unique_test_path("session.log");
     std::remove(path_.c_str());
     return path_;
   }

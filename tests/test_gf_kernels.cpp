@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -32,6 +33,14 @@
 #include "util/rng.hpp"
 
 namespace pbl::gf::kern {
+
+// Print a kernel parameter by name, not by address: the address differs in
+// every process under ASLR, and googletest puts the printed parameter into
+// the listed test names, so printing it would make the test names unstable.
+void PrintTo(const Kernel* k, std::ostream* os) {
+  *os << (k != nullptr ? k->name : "null");
+}
+
 namespace {
 
 constexpr std::size_t kLengths[] = {0, 1, 15, 16, 17, 64, 1024, 1500};

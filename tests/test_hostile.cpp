@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "server/server.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::server {
@@ -46,8 +47,7 @@ std::vector<net::TgBytes> make_payload(std::uint64_t id, std::size_t tgs,
 class HostileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "pbl_hostile_" +
-           std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    dir_ = unique_test_path("hostile");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

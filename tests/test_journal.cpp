@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/session_state.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pbl {
@@ -35,8 +36,7 @@ using util::scan_journal;
 class JournalTest : public ::testing::Test {
  protected:
   std::string temp_path() {
-    path_ = ::testing::TempDir() + "pbl_journal_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".log";
+    path_ = unique_test_path("journal.log");
     std::remove(path_.c_str());
     return path_;
   }

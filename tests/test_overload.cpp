@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "server/server.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::server {
@@ -45,8 +46,7 @@ std::vector<net::TgBytes> make_payload(std::uint64_t id, std::size_t tgs,
 class OverloadTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "pbl_overload_" +
-           std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    dir_ = unique_test_path("overload");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -93,6 +93,30 @@ TEST_P(ReactorBackends, HandlerMayRemoveItsOwnFd) {
   EXPECT_FALSE(reactor.poll_once(0.0));
 }
 
+TEST_P(ReactorBackends, EveryReadyFdRunsBeforeDueTimers) {
+  // More ready fds than one epoll_wait used to report (64): a due timer
+  // must still see every one of them serviced first.  Otherwise a
+  // server's collect window can close while the answers to its POLL
+  // sit unread in members' sockets, and the round is re-POLLed
+  // spuriously after a backoff.
+  protocol::ManualClock clock;
+  Reactor reactor(GetParam(), &clock);
+  std::vector<Pipe> pipes(100);
+  std::size_t fired = 0;
+  for (auto& p : pipes) {
+    reactor.add_fd(p.read_fd(), [&fired, &p] {
+      ++fired;
+      p.drain();
+    });
+    p.poke();
+  }
+  std::size_t fired_at_timer = 0;
+  reactor.add_timer(0.0, [&] { fired_at_timer = fired; });
+  EXPECT_TRUE(reactor.poll_once(0.0));
+  EXPECT_EQ(fired, pipes.size());
+  EXPECT_EQ(fired_at_timer, pipes.size());
+}
+
 TEST(ReactorTimers, FireInDeadlineOrderWhenDue) {
   protocol::ManualClock clock;
   Reactor reactor(Reactor::Backend::kPoll, &clock);

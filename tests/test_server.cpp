@@ -24,6 +24,7 @@
 
 #include "fec/packet.hpp"
 #include "net/peer_guard.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::server {
@@ -46,8 +47,7 @@ std::vector<net::TgBytes> make_payload(std::uint64_t id, std::size_t tgs,
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "pbl_server_" +
-           std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    dir_ = unique_test_path("server");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
@@ -132,6 +132,43 @@ TEST_F(ServerTest, GracefulDrainCompletesInFlightSessions) {
   EXPECT_EQ(server.drained_sessions(), 0u);
   EXPECT_EQ(server.failed_sessions(), 0u);
   EXPECT_EQ(server.server_metrics().text("server_state"), "stopped");
+}
+
+TEST_F(ServerTest, FinalizedSessionsReleaseTheirPayload) {
+  // Only the drivers read a session's payload; once they are gone the
+  // server must not keep it, or a long-lived server holds every payload
+  // it ever served.
+  Reactor reactor;
+  MulticastServer server(reactor, base_config());
+  const std::size_t kSessions = 3, kTgs = 4;
+  for (std::uint64_t id = 0; id < kSessions; ++id)
+    ASSERT_TRUE(server.submit(make_spec(id, kTgs)));
+  server.snapshot_json();  // refreshes the server gauges
+  EXPECT_EQ(server.server_metrics().gauge("payload_bytes_held"),
+            static_cast<double>(kSessions * kTgs * 4 * 32));
+  reactor.run();
+  ASSERT_EQ(server.completed_sessions(), kSessions);
+  server.snapshot_json();
+  EXPECT_EQ(server.server_metrics().gauge("payload_bytes_held"), 0.0);
+}
+
+TEST_F(ServerTest, OffloadCountersShowCoalescedBursts) {
+  // Each data burst goes out member-major, so with segmentation offload
+  // every member's k frames leave as one super-datagram and arrive as
+  // one coalesced buffer.
+  const net::ScopedUdpBackendOverride batched(net::UdpBackend::kBatched);
+  if (!net::udp_batched_available() || !net::UdpSocket().gso_enabled())
+    GTEST_SKIP() << "no UDP segmentation offload";
+  Reactor reactor;
+  MulticastServer server(reactor, base_config());
+  for (std::uint64_t id = 0; id < 2; ++id)
+    ASSERT_TRUE(server.submit(make_spec(id, 3)));
+  reactor.run();
+  ASSERT_EQ(server.completed_sessions(), 2u);
+  const auto& m = server.server_metrics();
+  // 2 sessions x 3 TGs x 2 members, at least one data burst each.
+  EXPECT_GE(m.counter("total_gso_sends"), 12u);
+  EXPECT_GE(m.counter("total_gro_coalesced"), 12u * 4u);
 }
 
 TEST_F(ServerTest, DrainThenRestartResumesExactlyOnce) {

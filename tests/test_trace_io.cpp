@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::loss {
@@ -13,8 +14,7 @@ namespace {
 class TraceIoTest : public ::testing::Test {
  protected:
   std::string temp_path() {
-    path_ = ::testing::TempDir() + "pbl_trace_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".txt";
+    path_ = unique_test_path("trace.txt");
     return path_;
   }
   void TearDown() override {

@@ -2,9 +2,17 @@
 // planes: every behavior here must hold identically on both backends.
 #include "net/udp/udp_transport.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/udp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstring>
+#include <memory>
 
 namespace pbl::net {
 namespace {
@@ -243,6 +251,222 @@ TEST(UdpBackendSelection, OverrideWinsAndRestores) {
     EXPECT_EQ(active_udp_backend(), UdpBackend::kFallback);
   }
   EXPECT_EQ(active_udp_backend(), ambient);
+}
+
+// --- Segmentation offload (GSO send, GRO receive) --------------------
+//
+// Batched-backend only, and skipped on kernels without UDP_SEGMENT: the
+// per-frame path those kernels fall back to is the suite above.
+
+fec::Packet packet_of(std::uint32_t seq, std::size_t payload_len) {
+  fec::Packet p = sample_packet();
+  p.header.seq = seq;
+  p.payload.assign(payload_len, static_cast<std::uint8_t>(seq));
+  p.header.payload_len = static_cast<std::uint32_t>(payload_len);
+  return p;
+}
+
+class UdpOffloadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!udp_batched_available()) GTEST_SKIP() << "no sendmmsg/recvmmsg";
+    if (!UdpSocket().gso_enabled()) GTEST_SKIP() << "kernel lacks UDP GSO";
+  }
+
+  static std::vector<std::uint32_t> drain_seqs(UdpSocket& rx,
+                                               std::size_t want) {
+    std::vector<fec::Packet> got;
+    while (got.size() < want)
+      if (rx.receive_batch(got, want - got.size(), 2.0) == 0) break;
+    std::vector<std::uint32_t> seqs;
+    for (const auto& p : got) seqs.push_back(p.header.seq);
+    return seqs;
+  }
+
+  static std::vector<std::uint32_t> iota(std::uint32_t from,
+                                         std::uint32_t to) {
+    std::vector<std::uint32_t> v;
+    for (std::uint32_t i = from; i < to; ++i) v.push_back(i);
+    return v;
+  }
+
+  ScopedUdpBackendOverride backend_{UdpBackend::kBatched};
+};
+
+TEST_F(UdpOffloadTest, RunsCapAtSixtyFourSegments) {
+  UdpSocket a, b;
+  ASSERT_TRUE(b.gro_enabled());
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::uint32_t i = 0; i < 65; ++i)
+    wires.push_back(fec::serialize(packet_of(i, 100)));
+  std::vector<FrameRef> refs;
+  for (const auto& w : wires) refs.push_back({b.port(), w});
+  const auto r = a.send_batch(refs);
+  EXPECT_EQ(r.sent, 65u);
+  // 64 frames ride one super-datagram; the 65th goes alone.
+  EXPECT_EQ(a.gso_sends(), 1u);
+  EXPECT_EQ(drain_seqs(b, 65), iota(0, 65));
+  EXPECT_EQ(b.gro_coalesced(), 64u);
+}
+
+TEST_F(UdpOffloadTest, RunsCapAtTheLargestUdpPayload) {
+  UdpSocket a, b;
+  const std::size_t size = fec::serialize(packet_of(0, 1400)).size();
+  const std::size_t per_run = 65507 / size;
+  ASSERT_LT(per_run, 64u);
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::uint32_t i = 0; i <= per_run; ++i)
+    wires.push_back(fec::serialize(packet_of(i, 1400)));
+  std::vector<FrameRef> refs;
+  for (const auto& w : wires) refs.push_back({b.port(), w});
+  EXPECT_EQ(a.send_batch(refs).sent, wires.size());
+  EXPECT_EQ(a.gso_sends(), 1u);
+  EXPECT_EQ(drain_seqs(b, wires.size()),
+            iota(0, static_cast<std::uint32_t>(wires.size())));
+  EXPECT_EQ(b.gro_coalesced(), per_run);
+}
+
+TEST_F(UdpOffloadTest, SizeChangeEndsARun) {
+  UdpSocket a, b;
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::uint32_t i = 0; i < 10; ++i)
+    wires.push_back(fec::serialize(packet_of(i, i < 5 ? 40 : 80)));
+  std::vector<FrameRef> refs;
+  for (const auto& w : wires) refs.push_back({b.port(), w});
+  EXPECT_EQ(a.send_batch(refs).sent, 10u);
+  EXPECT_EQ(a.gso_sends(), 2u);
+  EXPECT_EQ(drain_seqs(b, 10), iota(0, 10));
+  EXPECT_EQ(b.gro_coalesced(), 10u);
+}
+
+TEST_F(UdpOffloadTest, DestinationChangeEndsARun) {
+  UdpSocket a, b, c;
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::uint32_t i = 0; i < 20; ++i)
+    wires.push_back(fec::serialize(packet_of(i, 40)));
+  // Member-major: two runs.
+  std::vector<FrameRef> grouped;
+  for (std::uint32_t i = 0; i < 10; ++i)
+    grouped.push_back({b.port(), wires[i]});
+  for (std::uint32_t i = 10; i < 20; ++i)
+    grouped.push_back({c.port(), wires[i]});
+  EXPECT_EQ(a.send_batch(grouped).sent, 20u);
+  EXPECT_EQ(a.gso_sends(), 2u);
+  EXPECT_EQ(drain_seqs(b, 10), iota(0, 10));
+  EXPECT_EQ(drain_seqs(c, 10), iota(10, 20));
+  EXPECT_EQ(b.gro_coalesced() + c.gro_coalesced(), 20u);
+  // Packet-major (alternating destinations): nothing to coalesce.
+  std::vector<FrameRef> alternating;
+  std::vector<std::uint32_t> even, odd;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    alternating.push_back({i % 2 == 0 ? b.port() : c.port(), wires[i]});
+    (i % 2 == 0 ? even : odd).push_back(i);
+  }
+  EXPECT_EQ(a.send_batch(alternating).sent, 20u);
+  EXPECT_EQ(a.gso_sends(), 2u);
+  EXPECT_EQ(drain_seqs(b, 10), even);
+  EXPECT_EQ(drain_seqs(c, 10), odd);
+}
+
+TEST_F(UdpOffloadTest, MidBatchWouldBlockLeavesAWholeRunPrefix) {
+  UdpSocket a, b, c;
+  // 130 runs of two frames, alternating members: one sendmmsg carries
+  // 128 entries, so the second syscall of the batch is the one that
+  // meets the injected EAGAIN.
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::uint32_t i = 0; i < 260; ++i)
+    wires.push_back(fec::serialize(packet_of(i, 24)));
+  std::vector<FrameRef> refs;
+  for (std::uint32_t i = 0; i < 260; ++i)
+    refs.push_back({(i / 2) % 2 == 0 ? b.port() : c.port(), wires[i]});
+  a.inject_send_errno_every(EAGAIN, /*every=*/2, /*burst=*/1);
+  const auto first = a.send_batch(refs);
+  EXPECT_EQ(first.status, SendStatus::kWouldBlock);
+  EXPECT_EQ(first.sent, 256u);
+  const auto rest =
+      a.send_batch(std::span<const FrameRef>(refs).subspan(first.sent));
+  EXPECT_EQ(rest.status, SendStatus::kSent);
+  EXPECT_EQ(rest.sent, 4u);
+  EXPECT_EQ(a.gso_sends(), 130u);
+  std::vector<std::uint32_t> want_b, want_c;
+  for (std::uint32_t i = 0; i < 260; ++i)
+    ((i / 2) % 2 == 0 ? want_b : want_c).push_back(i);
+  EXPECT_EQ(drain_seqs(b, 130), want_b);
+  EXPECT_EQ(drain_seqs(c, 130), want_c);
+}
+
+TEST_F(UdpOffloadTest, GroSplitsAShortTailAndImpairsEverySegment) {
+  UdpSocket rx;
+  ASSERT_TRUE(rx.gro_enabled());
+  ImpairmentConfig icfg;
+  icfg.dup_prob = 1.0;
+  auto impairment = std::make_shared<Impairment>(icfg);
+  rx.set_impairment(impairment);
+
+  // Three full segments and a shorter tail, handed to the kernel by hand
+  // as one UDP_SEGMENT super-datagram.
+  std::vector<std::uint8_t> super;
+  std::size_t seg = 0;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const auto w = fec::serialize(packet_of(i, i < 3 ? 200 : 50));
+    if (i == 0) seg = w.size();
+    super.insert(super.end(), w.begin(), w.end());
+  }
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in dest{};
+  dest.sin_family = AF_INET;
+  dest.sin_port = htons(rx.port());
+  dest.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  iovec iov{super.data(), super.size()};
+  alignas(cmsghdr) unsigned char ctrl[CMSG_SPACE(sizeof(std::uint16_t))] = {};
+  msghdr h{};
+  h.msg_name = &dest;
+  h.msg_namelen = sizeof(dest);
+  h.msg_iov = &iov;
+  h.msg_iovlen = 1;
+  h.msg_control = ctrl;
+  h.msg_controllen = sizeof(ctrl);
+  cmsghdr* c = CMSG_FIRSTHDR(&h);
+  c->cmsg_level = SOL_UDP;
+  c->cmsg_type = UDP_SEGMENT;
+  c->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+  const auto seg16 = static_cast<std::uint16_t>(seg);
+  std::memcpy(CMSG_DATA(c), &seg16, sizeof(seg16));
+  const ssize_t sent = ::sendmsg(fd, &h, 0);
+  ::close(fd);
+  ASSERT_EQ(sent, static_cast<ssize_t>(super.size()));
+
+  const std::vector<std::uint32_t> each_twice = {0, 0, 1, 1, 2, 2, 3, 3};
+  EXPECT_EQ(drain_seqs(rx, 8), each_twice);
+  EXPECT_EQ(rx.gro_coalesced(), 4u);
+  // One impairment decision per segment, not per coalesced buffer.
+  EXPECT_EQ(impairment->stats().processed, 4u);
+  EXPECT_EQ(impairment->stats().duplicated, 4u);
+}
+
+TEST(UdpOffloadFallback, FailedProbeSendsOneDatagramPerFrame) {
+  if (!udp_batched_available()) GTEST_SKIP() << "no sendmmsg/recvmmsg";
+  ScopedUdpBackendOverride batched(UdpBackend::kBatched);
+  ScopedUdpOffloadProbeFailure no_offload;
+  UdpSocket a, b;
+  EXPECT_FALSE(a.gso_enabled());
+  EXPECT_FALSE(b.gro_enabled());
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::uint32_t i = 0; i < 50; ++i)
+    wires.push_back(fec::serialize(packet_of(i, 64)));
+  std::vector<FrameRef> refs;
+  for (const auto& w : wires) refs.push_back({b.port(), w});
+  const auto r = a.send_batch(refs);
+  EXPECT_EQ(r.status, SendStatus::kSent);
+  EXPECT_EQ(r.sent, 50u);
+  EXPECT_EQ(a.gso_sends(), 0u);
+  std::vector<fec::Packet> got;
+  while (got.size() < 50)
+    if (b.receive_batch(got, 50 - got.size(), 2.0) == 0) break;
+  ASSERT_EQ(got.size(), 50u);
+  for (std::uint32_t i = 0; i < 50; ++i) EXPECT_EQ(got[i].header.seq, i);
+  EXPECT_EQ(b.gro_coalesced(), 0u);
 }
 
 }  // namespace

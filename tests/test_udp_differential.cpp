@@ -22,6 +22,7 @@
 #include "core/session_state.hpp"
 #include "net/udp/frame_stream.hpp"
 #include "net/udp/udp_np.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::net {
@@ -274,11 +275,10 @@ DiffRun run_crash_session(UdpBackend backend,
 TEST(UdpDifferential, CrashResumeClampsAtTheSameFrame) {
   UdpNpConfig cfg = base_config();
   const auto groups = random_groups(3, cfg.k, cfg.packet_len, 24);
-  const std::string dir = ::testing::TempDir();
   const auto batched = run_crash_session(UdpBackend::kBatched, groups, cfg,
-                                         dir + "pbl_diff_batched.log");
+                                         unique_test_path("batched.log"));
   const auto fallback = run_crash_session(UdpBackend::kFallback, groups, cfg,
-                                          dir + "pbl_diff_fallback.log");
+                                          unique_test_path("fallback.log"));
   expect_same_wire(batched, fallback);
   EXPECT_EQ(batched.sender.data_sent, fallback.sender.data_sent);
   EXPECT_EQ(batched.sender.polls_sent, fallback.sender.polls_sent);

@@ -14,6 +14,7 @@
 
 #include "core/file_transfer.hpp"
 #include "core/session_state.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::net {
@@ -355,9 +356,7 @@ TEST_P(UdpNpCrash, SenderRestartResumesFromJournalAcrossLiveReceiver) {
   // through core::SessionJournal and dies after 10 datagrams; life 2
   // reopens the journal on the SAME port, bumps the incarnation, skips
   // the journaled TGs and finishes the transfer.
-  const std::string journal =
-      ::testing::TempDir() + "pbl_udp_session_" +
-      std::to_string(static_cast<unsigned long long>(chaos_seed(55))) + ".log";
+  const std::string journal = unique_test_path("session.log");
   std::remove(journal.c_str());
 
   UdpNpConfig cfg = small_config();
