@@ -1,18 +1,19 @@
-// Protocol NP over REAL loopback UDP sockets: one sender thread and N
-// receiver threads, emulated multicast (unicast fan-out), loss injected
-// at each receiver, parity repair with per-TG NAK feedback, and
-// end-to-end integrity verification of every byte at every receiver.
+// Protocol NP over REAL loopback UDP sockets: one sender and N
+// receivers sharing one reactor thread, emulated multicast (unicast
+// fan-out), loss injected at each receiver, parity repair with per-TG
+// NAK feedback, and end-to-end integrity verification of every byte at
+// every receiver.  Exits 0 only when every receiver verified the file.
 //
 //   $ ./udp_multicast_demo --receivers=8 --p=0.2 --bytes=20000 --k=8
 //
-// Built on the library's UdpNpSender/UdpNpReceiver (net/udp/udp_np.hpp)
-// and the file framing of core/file_transfer.hpp.
+// Built on the server's session drivers (server/session_driver.hpp) and
+// the file framing of core/file_transfer.hpp.
 #include <cstdio>
-#include <thread>
+#include <memory>
 #include <vector>
 
 #include "core/file_transfer.hpp"
-#include "net/udp/udp_np.hpp"
+#include "server/session_driver.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -39,51 +40,60 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The "file".
+  // The "file".  segment_blob frames it so reassemble_blob inverts it
+  // exactly; each receiver checks every TG against these bytes as it
+  // decodes.
   Rng data_rng(seed);
   std::vector<std::uint8_t> blob(bytes);
   for (auto& b : blob) b = static_cast<std::uint8_t>(data_rng());
-  const auto groups = core::segment_blob(blob, cfg.k, cfg.packet_len);
+  const auto framed = core::segment_blob(blob, cfg.k, cfg.packet_len);
+  if (core::reassemble_blob(framed) != blob) {
+    std::fprintf(stderr, "file framing does not round-trip\n");
+    return 1;
+  }
+  const std::vector<net::TgBytes> groups(framed.begin(), framed.end());
 
   std::printf("UDP demo: %zu receivers on loopback, %zu bytes in %zu TGs "
               "(k=%zu, %zu B packets), injected loss p = %g\n",
               receivers, bytes, groups.size(), cfg.k, cfg.packet_len, p);
 
-  // Sockets and the emulated multicast group.
+  // Sockets, the emulated multicast group, and the drivers on one
+  // reactor; it stops once the sender and every receiver finished.
+  server::Reactor reactor;
+  cfg.clock = &reactor.clock();
   net::UdpSocket sender_socket;
   const std::uint16_t sender_port = sender_socket.port();
-  std::vector<net::UdpSocket> rx_sockets;
+  std::size_t finished = 0;
+  const auto on_finished = [&] {
+    if (++finished == receivers + 1) reactor.stop();
+  };
+  std::vector<std::unique_ptr<server::ReceiverSessionDriver>> rx;
   net::UdpGroup group;
   for (std::size_t r = 0; r < receivers; ++r) {
-    rx_sockets.emplace_back();
-    group.add_member(rx_sockets.back().port());
+    net::UdpSocket socket;
+    group.add_member(socket.port());
+    server::ReceiverSessionDriver::Options opt;
+    opt.data_loss = p;
+    opt.rng = Rng(seed).split(100 + r);
+    opt.expected = &groups;
+    rx.push_back(std::make_unique<server::ReceiverSessionDriver>(
+        reactor, std::move(socket), sender_port, groups.size(), cfg,
+        std::move(opt), on_finished));
   }
-
-  std::vector<net::UdpNpReceiverResult> results(receivers);
-  std::vector<std::thread> threads;
-  for (std::size_t r = 0; r < receivers; ++r) {
-    threads.emplace_back([&, r, sock = std::move(rx_sockets[r])]() mutable {
-      net::UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(),
-                                  cfg, p, Rng(seed).split(100 + r));
-      results[r] = receiver.run(10.0);
-    });
-  }
-
-  net::UdpNpSender sender(std::move(sender_socket), group, cfg);
-  const auto stats = sender.transfer(groups);
-  for (auto& t : threads) t.join();
+  server::SenderSessionDriver sender(reactor, std::move(sender_socket),
+                                     std::move(group), cfg, groups,
+                                     on_finished);
+  for (auto& r : rx) r->start();
+  sender.start();
+  reactor.run();
+  const auto& stats = sender.stats();
 
   bool all_ok = true;
   std::uint64_t dropped = 0, decoded = 0;
-  for (std::size_t r = 0; r < receivers; ++r) {
-    bool ok = results[r].complete;
-    if (ok) {
-      const auto rebuilt = core::reassemble_blob(results[r].groups);
-      ok = rebuilt == blob;
-    }
-    all_ok = all_ok && ok;
-    dropped += results[r].dropped;
-    decoded += results[r].decoded;
+  for (const auto& r : rx) {
+    all_ok = all_ok && r->result().complete && r->payload_mismatches() == 0;
+    dropped += r->result().dropped;
+    decoded += r->result().decoded;
   }
 
   std::printf("sender: %llu data + %llu parities (%.3f tx/packet), %llu "

@@ -80,7 +80,8 @@ class Deadline {
 };
 
 /// Wall-clock seconds on a monotonic clock (std::chrono::steady_clock),
-/// for driving Deadline outside the simulator (net::UdpNpSender/Receiver).
+/// for driving Deadline outside the simulator (the UDP session drivers,
+/// server/session_driver.hpp).
 double retry_clock_now();
 
 /// Injectable time source.  Every wall-clock read a protocol component

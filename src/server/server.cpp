@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
@@ -37,6 +39,44 @@ const char* end_reason_name(net::UdpNpEndReason reason) {
   }
   return "none";
 }
+
+// Server-wide totals.  Each is a sum over every session the server has
+// run: a session is folded into finalized_totals_ when it finalizes, and
+// refresh_server_metrics() adds the live sessions on top, so a mid-run
+// snapshot counts in-flight work too.  The first rows sum one
+// per-session counter; the driver-sourced rows are read off the drivers
+// and the journal directly (add_session_totals).
+constexpr std::pair<std::string_view, std::string_view> kCounterTotals[] = {
+    {"total_data_sent", "data_sent"},
+    {"total_parity_sent", "parity_sent"},
+    {"total_polls_sent", "polls_sent"},
+    {"total_naks_received", "naks_received"},
+    {"total_acks_received", "acks_received"},
+    {"total_poll_retries", "poll_retries"},
+    {"total_nak_retries", "receiver_nak_retries"},
+    {"total_evictions", "evictions"},
+    {"total_tgs_completed", "tgs_completed"},
+    {"total_tgs_skipped", "tgs_skipped"},
+    {"total_stale_rejected", "receiver_stale_rejected"},
+    {"total_redelivered_prior", "redelivered_prior"},
+    {"total_payload_mismatches", "payload_mismatches"},
+    {"would_block_total", "would_block"},
+    {"total_arena_deferrals", "arena_deferrals"},
+    {"total_shed_frames", "shed_frames"},
+    {"total_naks_suppressed", "naks_suppressed"},
+    {"total_members_quarantined", "members_quarantined"},
+    {"total_peer_rejected", "peer_rejected"},
+    {"total_peer_greylisted", "peer_greylisted"},
+    {"total_peer_banned", "peer_banned"},
+    {"total_feedback_addr_mismatch", "feedback_addr_mismatch"},
+    {"total_frame_resyncs", "frame_resyncs"},
+    {"total_frames_skipped", "frames_skipped"},
+};
+constexpr std::string_view kDriverTotals[] = {
+    "total_gso_sends", "total_gro_coalesced", "fault_injected_send",
+    "fault_injected_journal"};
+constexpr std::size_t kNumTotals =
+    std::size(kCounterTotals) + std::size(kDriverTotals);
 
 void write_text_file(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -228,7 +268,7 @@ std::string MulticastServer::schema_document() {
 
 MulticastServer::MulticastServer(Reactor& reactor, ServerConfig config)
     : reactor_(reactor), cfg_(std::move(config)),
-      server_metrics_(server_metric_defs()) {
+      server_metrics_(server_metric_defs()), finalized_totals_(kNumTotals, 0) {
   if (!cfg_.np.clock) cfg_.np.clock = &reactor_.clock();
   started_at_ = reactor_.now();
   server_metrics_.set_string("server_state", "running");
@@ -579,23 +619,39 @@ void MulticastServer::refresh_server_metrics() {
   server_metrics_.set_gauge("uptime_seconds", reactor_.now() - started_at_);
   double journal_bytes = 0.0;
   double payload_bytes = 0.0;
-  std::uint64_t fsend = fault_injected_send_;
-  std::uint64_t fjournal = fault_injected_journal_;
+  std::vector<std::uint64_t> totals = finalized_totals_;
   for (const auto& [id, s] : sessions_) {
-    if (s->journal) {
+    if (s->finalized) continue;
+    add_session_totals(*s, totals);
+    if (s->journal)
       journal_bytes += static_cast<double>(s->journal->journal().size_bytes());
-      fjournal += s->journal->journal().write_failures();
-    }
-    if (s->sender) fsend += s->sender->injected_send_failures();
     for (const auto& tg : s->spec.groups)
       for (const auto& pkt : tg)
         payload_bytes += static_cast<double>(pkt.size());
   }
   server_metrics_.set_gauge("journal_bytes_total", journal_bytes);
   server_metrics_.set_gauge("payload_bytes_held", payload_bytes);
-  server_metrics_.set_counter("fault_injected_send", fsend);
-  server_metrics_.set_counter("fault_injected_journal", fjournal);
+  std::size_t i = 0;
+  for (const auto& [total, counter] : kCounterTotals)
+    server_metrics_.set_counter(total, totals[i++]);
+  for (const auto total : kDriverTotals)
+    server_metrics_.set_counter(total, totals[i++]);
   server_metrics_.set_counter("fault_injected_socket", fault_injected_socket_);
+}
+
+void MulticastServer::add_session_totals(const Session& s,
+                                         std::vector<std::uint64_t>& sums) {
+  auto out = sums.begin();
+  for (const auto& [total, counter] : kCounterTotals)
+    *out++ += s.metrics.counter(counter);
+  // The driver-sourced rows, in kDriverTotals order.
+  std::uint64_t gro = 0;
+  for (const auto& r : s.receivers) gro += r->gro_coalesced();
+  const std::uint64_t driver[std::size(kDriverTotals)] = {
+      s.sender ? s.sender->gso_sends() : 0, gro,
+      s.sender ? s.sender->injected_send_failures() : 0,
+      s.journal ? s.journal->journal().write_failures() : 0};
+  for (const std::uint64_t v : driver) *out++ += v;
 }
 
 void MulticastServer::finalize_session(std::uint64_t id, bool drained) {
@@ -635,54 +691,8 @@ void MulticastServer::finalize_session(std::uint64_t id, bool drained) {
     s.metrics.set_string("end_reason", drained ? "drain_timeout" : reason);
   }
 
-  // Fold this session's lifetime counters into the server registry.
-  server_metrics_.inc("total_data_sent", s.metrics.counter("data_sent"));
-  server_metrics_.inc("total_parity_sent", s.metrics.counter("parity_sent"));
-  server_metrics_.inc("total_polls_sent", s.metrics.counter("polls_sent"));
-  server_metrics_.inc("total_naks_received",
-                      s.metrics.counter("naks_received"));
-  server_metrics_.inc("total_acks_received",
-                      s.metrics.counter("acks_received"));
-  server_metrics_.inc("total_poll_retries", s.metrics.counter("poll_retries"));
-  server_metrics_.inc("total_nak_retries",
-                      s.metrics.counter("receiver_nak_retries"));
-  server_metrics_.inc("total_evictions", s.metrics.counter("evictions"));
-  server_metrics_.inc("total_tgs_completed",
-                      s.metrics.counter("tgs_completed"));
-  server_metrics_.inc("total_tgs_skipped", s.metrics.counter("tgs_skipped"));
-  server_metrics_.inc("total_stale_rejected",
-                      s.metrics.counter("receiver_stale_rejected"));
-  server_metrics_.inc("total_redelivered_prior",
-                      s.metrics.counter("redelivered_prior"));
-  server_metrics_.inc("total_payload_mismatches",
-                      s.metrics.counter("payload_mismatches"));
-  server_metrics_.inc("would_block_total", s.metrics.counter("would_block"));
-  server_metrics_.inc("total_arena_deferrals",
-                      s.metrics.counter("arena_deferrals"));
-  server_metrics_.inc("total_shed_frames", s.metrics.counter("shed_frames"));
-  server_metrics_.inc("total_naks_suppressed",
-                      s.metrics.counter("naks_suppressed"));
-  server_metrics_.inc("total_members_quarantined",
-                      s.metrics.counter("members_quarantined"));
-  server_metrics_.inc("total_peer_rejected",
-                      s.metrics.counter("peer_rejected"));
-  server_metrics_.inc("total_peer_greylisted",
-                      s.metrics.counter("peer_greylisted"));
-  server_metrics_.inc("total_peer_banned", s.metrics.counter("peer_banned"));
-  server_metrics_.inc("total_feedback_addr_mismatch",
-                      s.metrics.counter("feedback_addr_mismatch"));
-  server_metrics_.inc("total_frame_resyncs",
-                      s.metrics.counter("frame_resyncs"));
-  server_metrics_.inc("total_frames_skipped",
-                      s.metrics.counter("frames_skipped"));
-  if (s.sender) {
-    fault_injected_send_ += s.sender->injected_send_failures();
-    server_metrics_.inc("total_gso_sends", s.sender->gso_sends());
-  }
-  for (const auto& r : s.receivers)
-    server_metrics_.inc("total_gro_coalesced", r->gro_coalesced());
-  if (s.journal)
-    fault_injected_journal_ += s.journal->journal().write_failures();
+  // Fold this session's lifetime counters into the finalized totals.
+  add_session_totals(s, finalized_totals_);
   server_metrics_.observe("session_duration_seconds", duration);
   if (s.sender && s.sender->stats().tx_per_packet > 0.0)
     server_metrics_.observe("session_tx_per_packet",
@@ -856,10 +866,19 @@ std::uint64_t MulticastServer::payload_mismatches_total() const {
   return total;
 }
 
-std::string MulticastServer::snapshot_json() {
+void MulticastServer::refresh_live_metrics() {
   for (auto& [id, s] : sessions_)
     if (!s->finalized) refresh_session_metrics(*s);
   refresh_server_metrics();
+}
+
+obs::MetricsRegistry& MulticastServer::server_metrics() {
+  refresh_live_metrics();
+  return server_metrics_;
+}
+
+std::string MulticastServer::snapshot_json() {
+  refresh_live_metrics();
 
   std::string out;
   out += "{\n  \"schema\": \"";

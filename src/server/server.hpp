@@ -140,7 +140,9 @@ class MulticastServer {
   std::uint64_t redelivered_prior_total() const;
   std::uint64_t payload_mismatches_total() const;
 
-  obs::MetricsRegistry& server_metrics() noexcept { return server_metrics_; }
+  /// The server registry, refreshed from live driver state first: every
+  /// total counts finalized and in-flight sessions alike.
+  obs::MetricsRegistry& server_metrics();
   /// Per-session registry; throws std::out_of_range on unknown id.
   const obs::MetricsRegistry& session_metrics(std::uint64_t id) const;
 
@@ -183,6 +185,12 @@ class MulticastServer {
   void finalize_session(std::uint64_t id, bool drained);
   void refresh_session_metrics(Session& session);
   void refresh_server_metrics();
+  /// refresh_session_metrics() on every live session, then the server.
+  void refresh_live_metrics();
+  /// Adds `session`'s contribution to every server-wide total into `sums`
+  /// (indexed like the total tables in server.cpp).
+  static void add_session_totals(const Session& session,
+                                 std::vector<std::uint64_t>& sums);
   void force_stop_all();
   void persist_for_next_life(Session& session);
   void remove_session_files(Session& session);
@@ -207,8 +215,8 @@ class MulticastServer {
   std::uint64_t snapshot_seq_ = 0;
   std::size_t sockets_created_ = 0;   ///< FaultPlan::socket_fail_nth counter
   std::uint64_t fault_injected_socket_ = 0;
-  std::uint64_t fault_injected_send_ = 0;
-  std::uint64_t fault_injected_journal_ = 0;
+  /// Server-wide totals summed over finalized sessions (server.cpp).
+  std::vector<std::uint64_t> finalized_totals_;
   bool draining_ = false;
   bool stopped_ = false;
   bool drain_timer_armed_ = false;

@@ -462,8 +462,7 @@ void SenderSessionDriver::begin_next_tg() {
 
 void SenderSessionDriver::send_poll() {
   if (round_ >= cfg_.max_rounds) {
-    // Round cap hit: abandon this TG (same silent fall-through as the
-    // blocking sender's for-loop exhausting) and move on.
+    // Round cap hit: abandon this TG silently and move on.
     ++tg_;
     begin_next_tg();
     return;
@@ -1175,10 +1174,10 @@ void ReceiverSessionDriver::finish(net::UdpNpEndReason reason) {
     result_.impairment = impairment_->stats();
   }
 
-  // Unlike the blocking receiver, the driver does NOT materialise the
-  // reconstructed groups in the result — at server scale that is the
-  // whole payload of every session held live.  Integrity is audited
-  // eagerly against Options::expected instead.
+  // The driver does NOT materialise the reconstructed groups in the
+  // result — at server scale that is the whole payload of every session
+  // held live.  Integrity is audited eagerly against Options::expected
+  // instead.
   result_.complete = done_count_ == num_tgs_;
 
   if (timer_armed_) {

@@ -1,16 +1,18 @@
-// Event-driven ports of the blocking UDP NP session endpoints
-// (net/udp/udp_np.hpp), shaped for the reactor: where UdpNpSender owns a
-// thread and blocks in socket waits, SenderSessionDriver owns nothing
-// but its state machine — the reactor feeds it readability events and
-// timer expiries, so thousands of concurrent sessions share one thread.
+// The UDP NP session endpoints (their config and result types live in
+// net/udp/udp_np.hpp), shaped for the reactor: a driver owns no thread
+// and never blocks in a socket wait — the reactor feeds it readability
+// events and timer expiries, so thousands of concurrent sessions share
+// one thread.  These are the only NP-over-UDP implementation: the
+// server, the loopback session tests and examples/udp_multicast_demo
+// all run on them.
 //
-// The protocol logic is the SAME as the blocking pair, feature for
-// feature: reliable-control ACK/liveness/eviction, seeded re-POLL and
+// Features: reliable-control ACK/liveness/eviction, seeded re-POLL and
 // NAK-retransmit backoff, session deadlines, incarnation stamping and
 // stale rejection, journal write-ahead hooks, parity high-water resume,
-// crash fault injection.  Time comes exclusively from the injected
-// clock in UdpNpConfig::clock, so the drivers can be unit-tested on a
-// ManualClock by pumping events by hand.
+// crash fault injection, overload pacing/shedding/quarantine, runtime
+// NAK suppression and the hostile-peer guard.  Time comes exclusively
+// from the injected clock in UdpNpConfig::clock, so the drivers can be
+// unit-tested on a ManualClock by pumping events by hand.
 #pragma once
 
 #include <cstdint>
@@ -138,11 +140,11 @@ class SenderSessionDriver {
   bool stopped_ = false;
   bool fd_registered_ = false;
 
-  // Session-wide state (mirrors UdpNpSender::transfer locals).
+  // Session-wide state.
   std::uint32_t round_id_ = 0;
   std::size_t sends_ = 0;
   // Zero-copy burst path: DATA/PARITY frames are written in place into
-  // arena slabs and batched per burst (see UdpNpSender::transfer).
+  // arena slabs and batched per burst (see pump_burst).
   std::unique_ptr<net::PacketArena> arena_;
   std::vector<net::FrameRef> burst_;
   std::vector<std::span<const std::uint8_t>> staged_;  ///< not yet fanned out
@@ -193,10 +195,9 @@ class SenderSessionDriver {
   std::vector<std::size_t> cu_targets_;  ///< members served this catch-up TG
 };
 
-/// Non-blocking receiver endpoint: the counterpart of UdpNpReceiver,
-/// with resume support for the server's restart path — a receiver that
-/// "survived" a sender restart is reconstructed from its persisted
-/// decoded bitmap.  TGs the sender's journal had confirmed complete are
+/// Non-blocking receiver endpoint, with resume support for the server's
+/// restart path — a receiver that "survived" a sender restart is
+/// reconstructed from its persisted decoded bitmap.  TGs the sender's journal had confirmed complete are
 /// never re-multicast, so DATA/PARITY arriving for one is counted as a
 /// redelivery violation (exactly-once audit).  TGs this receiver decoded
 /// but the sender never confirmed ARE legitimately re-sent by the next

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -150,6 +151,42 @@ TEST_F(ServerTest, FinalizedSessionsReleaseTheirPayload) {
   ASSERT_EQ(server.completed_sessions(), kSessions);
   server.snapshot_json();
   EXPECT_EQ(server.server_metrics().gauge("payload_bytes_held"), 0.0);
+}
+
+TEST_F(ServerTest, MidRunSnapshotTotalsCountLiveSessions) {
+  // Every server total is a sum over every session, finalized or still
+  // in flight, so a snapshot taken mid-run must agree with the sessions
+  // it carries.  Staggered sizes make some probes land while short
+  // sessions have finalized and long ones are still sending.
+  Reactor reactor;
+  MulticastServer server(reactor, base_config());
+  const std::uint64_t kSessions = 4;
+  for (std::uint64_t id = 0; id < kSessions; ++id)
+    ASSERT_TRUE(server.submit(make_spec(id, 2 + 8 * id, 0.2)));
+
+  std::size_t live_probes = 0, mixed_probes = 0;
+  std::function<void()> probe = [&] {
+    if (server.active_sessions() == 0) return;
+    server.snapshot_json();
+    ++live_probes;
+    if (server.completed_sessions() + server.failed_sessions() > 0)
+      ++mixed_probes;
+    for (const char* name : {"data_sent", "polls_sent", "tgs_completed"}) {
+      std::uint64_t sum = 0;
+      for (std::uint64_t id = 0; id < kSessions; ++id)
+        sum += server.session_metrics(id).counter(name);
+      EXPECT_EQ(server.server_metrics().counter(std::string("total_") + name),
+                sum)
+          << name << " at probe " << live_probes;
+    }
+    reactor.add_timer(reactor.now() + 0.01, probe);
+  };
+  reactor.add_timer(reactor.now() + 0.005, probe);
+  reactor.run();
+
+  EXPECT_EQ(server.completed_sessions(), kSessions);
+  EXPECT_GT(live_probes, 0u);
+  EXPECT_GT(mixed_probes, 0u);
 }
 
 TEST_F(ServerTest, OffloadCountersShowCoalescedBursts) {

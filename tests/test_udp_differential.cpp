@@ -1,10 +1,10 @@
 // Differential proof that the batched UDP data plane is wire-exact
 // against the portable fallback: the same seeded session, run once per
-// backend, must put byte-identical streams on the wire for every member
-// (captured via the socket tx tap), produce identical sender stats and
-// PartialDeliveryReports, and leave every receiver with identical
-// results.  Same pattern as the PR 6 shard-equivalence harness, one
-// layer down.
+// backend on the server's session drivers, must put byte-identical
+// streams on the wire for every member (captured via the socket tx
+// tap), produce identical sender stats and PartialDeliveryReports, and
+// leave every receiver with identical results.  Same pattern as the
+// shard-equivalence harness, one layer down.
 //
 // Also holds the FrameStreamDecoder segmentation-invariance contract
 // (the deterministic twin of fuzz/fuzz_frame_batch.cpp) so tier-1 runs
@@ -16,31 +16,18 @@
 #include <cstdio>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/session_state.hpp"
 #include "net/udp/frame_stream.hpp"
-#include "net/udp/udp_np.hpp"
+#include "np_session.hpp"
 #include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::net {
 namespace {
 
-std::vector<TgBytes> random_groups(std::size_t tgs, std::size_t k,
-                                   std::size_t len, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<TgBytes> groups(tgs);
-  for (auto& tg : groups) {
-    tg.resize(k);
-    for (auto& pkt : tg) {
-      pkt.resize(len);
-      for (auto& b : pkt) b = static_cast<std::uint8_t>(rng());
-    }
-  }
-  return groups;
-}
+using np_session::random_groups;
 
 UdpNpConfig base_config() {
   UdpNpConfig cfg;
@@ -55,9 +42,6 @@ UdpNpConfig base_config() {
 }
 
 /// Everything one session run exposes, for cross-backend comparison.
-/// Sender frames carry no ports (feedback is the only port-carrying
-/// traffic, and it never crosses the tap), so the per-member streams
-/// compare cleanly across runs with different ephemeral ports.
 struct DiffRun {
   std::vector<std::vector<std::uint8_t>> tx;  ///< per-member wire stream
   UdpNpSenderStats sender;
@@ -68,40 +52,12 @@ DiffRun run_session(UdpBackend backend, const std::vector<TgBytes>& groups,
                     std::size_t receivers, const UdpNpConfig& cfg,
                     double inject_loss) {
   ScopedUdpBackendOverride override(backend);
-  UdpSocket sender_socket;
-  const std::uint16_t sender_port = sender_socket.port();
-
-  std::vector<UdpSocket> rx_sockets;
-  UdpGroup group;
-  for (std::size_t r = 0; r < receivers; ++r) {
-    rx_sockets.emplace_back();
-    group.add_member(rx_sockets.back().port());
-  }
-
-  DiffRun run;
-  run.tx.resize(receivers);
-  const auto& members = group.members();
-  sender_socket.set_tx_tap(
-      [&](std::uint16_t dest, std::span<const std::uint8_t> bytes) {
-        for (std::size_t m = 0; m < members.size(); ++m)
-          if (members[m] == dest)
-            run.tx[m].insert(run.tx[m].end(), bytes.begin(), bytes.end());
-      });
-
-  run.receivers.resize(receivers);
-  std::vector<std::thread> threads;
-  for (std::size_t r = 0; r < receivers; ++r) {
-    threads.emplace_back([&, r, sock = std::move(rx_sockets[r])]() mutable {
-      UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(), cfg,
-                             inject_loss, Rng(99).split(r));
-      run.receivers[r] = receiver.run(5.0);
-    });
-  }
-
-  UdpNpSender sender(std::move(sender_socket), group, cfg);
-  run.sender = sender.transfer(groups);
-  for (auto& t : threads) t.join();
-  return run;
+  np_session::Session session(receivers);
+  session.add_receivers(cfg, groups, inject_loss);
+  session.add_sender(cfg, groups);
+  EXPECT_TRUE(session.run()) << "watchdog fired";
+  EXPECT_EQ(session.payload_mismatches(), 0u);
+  return {session.tx, session.sender().stats(), session.results()};
 }
 
 void expect_same_wire(const DiffRun& a, const DiffRun& b) {
@@ -148,7 +104,7 @@ void expect_same_receivers(const DiffRun& a, const DiffRun& b) {
     EXPECT_EQ(x.dropped, y.dropped) << "receiver " << r;
     EXPECT_EQ(x.decoded, y.decoded) << "receiver " << r;
     EXPECT_EQ(x.naks_sent, y.naks_sent) << "receiver " << r;
-    EXPECT_EQ(x.groups, y.groups) << "receiver " << r;
+    EXPECT_EQ(x.end_reason, y.end_reason) << "receiver " << r;
   }
 }
 
@@ -214,26 +170,10 @@ DiffRun run_crash_session(UdpBackend backend,
   fresh.packet_len = static_cast<std::uint32_t>(cfg.packet_len);
   fresh.num_tgs = static_cast<std::uint32_t>(groups.size());
 
-  UdpSocket first_socket;
-  const std::uint16_t sender_port = first_socket.port();
-  UdpSocket rx_sock;
-  UdpGroup group;
-  group.add_member(rx_sock.port());
+  np_session::Session session(1);
+  session.add_receivers(cfg, groups, 0.0, /*idle_timeout=*/10.0);
 
   DiffRun run;
-  run.tx.resize(1);
-  const auto tap = [&](std::uint16_t, std::span<const std::uint8_t> bytes) {
-    run.tx[0].insert(run.tx[0].end(), bytes.begin(), bytes.end());
-  };
-  first_socket.set_tx_tap(tap);
-
-  run.receivers.resize(1);
-  std::thread rx_thread([&, sock = std::move(rx_sock)]() mutable {
-    UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(), cfg,
-                           0.0, Rng(99).split(0));
-    run.receivers[0] = receiver.run(10.0);
-  });
-
   {
     core::SessionJournal sj(journal, fresh);
     UdpNpConfig c1 = cfg;
@@ -243,8 +183,10 @@ DiffRun run_crash_session(UdpBackend backend,
     c1.on_parities_sent = [&sj](std::size_t tg, std::size_t hw) {
       sj.record_parities_sent(tg, hw);
     };
-    UdpNpSender sender(std::move(first_socket), group, c1);
-    run.sender = sender.transfer(groups);
+    auto& sender = session.add_sender(c1, groups);
+    EXPECT_TRUE(session.run_until([&] { return sender.finished(); }));
+    run.sender = sender.stats();
+    session.end_sender_life();
   }
   EXPECT_TRUE(run.sender.crashed);
 
@@ -257,18 +199,20 @@ DiffRun run_crash_session(UdpBackend backend,
   c2.on_parities_sent = [&sj](std::size_t tg, std::size_t hw) {
     sj.record_parities_sent(tg, hw);
   };
-  UdpSocket second_socket(sender_port);
-  second_socket.set_tx_tap(tap);
-  UdpNpSender sender(std::move(second_socket), group, c2);
-  const auto life2 = sender.transfer(groups);
-  rx_thread.join();
+  session.add_sender(c2, groups);
+  EXPECT_TRUE(session.run()) << "watchdog fired";
+  const auto life2 = session.sender().stats();
+  session.end_sender_life();
   std::remove(journal.c_str());
+  EXPECT_EQ(session.payload_mismatches(), 0u);
 
   // Fold life-2 counters in so the comparison spans both lives.
   run.sender.data_sent += life2.data_sent;
   run.sender.parity_sent += life2.parity_sent;
   run.sender.polls_sent += life2.polls_sent;
   run.sender.tgs_skipped = life2.tgs_skipped;
+  run.tx = session.tx;
+  run.receivers = session.results();
   return run;
 }
 

@@ -1,38 +1,28 @@
-// Threaded loopback sessions of the UDP protocol-NP implementation:
-// real sockets, real codec, injected loss, end-to-end byte verification.
+// Loopback sessions of protocol NP over UDP: the server's session
+// drivers on one reactor, real sockets, real codec, injected loss, and
+// every decoded TG verified against the payload the moment it decodes.
 // Every session suite is parameterized over the {batched, fallback} UDP
 // data planes — identical protocol outcomes are required on both (the
 // byte-level equivalence proof lives in test_udp_differential.cpp).
-#include "net/udp/udp_np.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "core/file_transfer.hpp"
 #include "core/session_state.hpp"
+#include "np_session.hpp"
 #include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::net {
 namespace {
 
-std::vector<TgBytes> random_groups(std::size_t tgs, std::size_t k,
-                                   std::size_t len, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<TgBytes> groups(tgs);
-  for (auto& tg : groups) {
-    tg.resize(k);
-    for (auto& pkt : tg) {
-      pkt.resize(len);
-      for (auto& b : pkt) b = static_cast<std::uint8_t>(rng());
-    }
-  }
-  return groups;
-}
+using np_session::member_options;
+using np_session::random_groups;
+using server::ReceiverSessionDriver;
+using server::SenderSessionDriver;
 
 UdpNpConfig small_config() {
   UdpNpConfig cfg;
@@ -67,51 +57,44 @@ INSTANTIATE_TEST_SUITE_P(Backends, UdpNpCrash,
                                            UdpBackend::kFallback),
                          backend_name);
 
-struct Session {
+struct Outcome {
   UdpNpSenderStats sender;
   std::vector<UdpNpReceiverResult> receivers;
+  std::uint64_t payload_mismatches = 0;
 };
 
-Session run_session(const std::vector<TgBytes>& groups, std::size_t receivers,
+Outcome run_session(const std::vector<TgBytes>& groups, std::size_t receivers,
                     const UdpNpConfig& cfg, double inject_loss,
                     const ImpairmentConfig& impairment = {}) {
-  UdpSocket sender_socket;
-  const std::uint16_t sender_port = sender_socket.port();
-
-  std::vector<UdpSocket> rx_sockets;
-  UdpGroup group;
+  np_session::Session session(receivers);
   for (std::size_t r = 0; r < receivers; ++r) {
-    rx_sockets.emplace_back();
-    group.add_member(rx_sockets.back().port());
+    auto opt = member_options(r, &groups, inject_loss);
+    opt.impairment = impairment;
+    if (impairment.enabled() || impairment.control_enabled())
+      opt.impairment.seed += r;  // independent per-receiver streams
+    session.add_receiver(r, groups.size(), cfg, std::move(opt));
   }
-
-  Session session;
-  session.receivers.resize(receivers);
-  std::vector<std::thread> threads;
-  for (std::size_t r = 0; r < receivers; ++r) {
-    threads.emplace_back([&, r, sock = std::move(rx_sockets[r])]() mutable {
-      ImpairmentConfig imp = impairment;
-      if (imp.enabled() || imp.control_enabled())
-        imp.seed += r;  // independent per-receiver streams
-      UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(), cfg,
-                             inject_loss, Rng(99).split(r), imp);
-      session.receivers[r] = receiver.run(5.0);
-    });
-  }
-
-  UdpNpSender sender(std::move(sender_socket), group, cfg);
-  session.sender = sender.transfer(groups);
-  for (auto& t : threads) t.join();
-  return session;
+  session.add_sender(cfg, groups);
+  EXPECT_TRUE(session.run()) << "watchdog fired";
+  return {session.sender().stats(), session.results(),
+          session.payload_mismatches()};
 }
 
 TEST_P(UdpNp, ValidatesConfiguration) {
+  server::Reactor reactor;
   UdpNpConfig cfg = small_config();
   cfg.k = 200;
   cfg.h = 100;
-  EXPECT_THROW(UdpNpSender(UdpSocket(), UdpGroup(), cfg),
+  const auto groups = random_groups(1, cfg.k, cfg.packet_len, 1);
+  UdpGroup group;
+  group.add_member(1);
+  EXPECT_THROW(SenderSessionDriver(reactor, UdpSocket(), group, cfg, groups,
+                                   nullptr),
                std::invalid_argument);
-  EXPECT_THROW(UdpNpReceiver(UdpSocket(), 1, 1, small_config(), 1.5),
+  ReceiverSessionDriver::Options opt;
+  opt.data_loss = 1.5;
+  EXPECT_THROW(ReceiverSessionDriver(reactor, UdpSocket(), 1, 1,
+                                     small_config(), opt, nullptr),
                std::invalid_argument);
 }
 
@@ -121,9 +104,9 @@ TEST_P(UdpNp, LosslessTransferIsExactlyK) {
   EXPECT_EQ(session.sender.data_sent, 18u);
   EXPECT_EQ(session.sender.parity_sent, 0u);
   EXPECT_DOUBLE_EQ(session.sender.tx_per_packet, 1.0);
+  EXPECT_EQ(session.payload_mismatches, 0u);
   for (const auto& r : session.receivers) {
     EXPECT_TRUE(r.complete);
-    EXPECT_EQ(r.groups, groups);
     EXPECT_EQ(r.naks_sent, 0u);
   }
 }
@@ -133,9 +116,9 @@ TEST_P(UdpNp, RecoversFromInjectedLoss) {
   const auto session = run_session(groups, 4, small_config(), 0.2);
   EXPECT_GT(session.sender.parity_sent, 0u);
   EXPECT_GT(session.sender.naks_received, 0u);
+  EXPECT_EQ(session.payload_mismatches, 0u);  // bit-exact reconstruction
   for (const auto& r : session.receivers) {
     ASSERT_TRUE(r.complete);
-    EXPECT_EQ(r.groups, groups);  // bit-exact reconstruction
     EXPECT_GT(r.dropped, 0u);
   }
 }
@@ -145,36 +128,34 @@ TEST_P(UdpNp, HeavyLossStillDelivers) {
   UdpNpConfig cfg = small_config();
   cfg.packet_len = 64;
   const auto session = run_session(groups, 2, cfg, 0.45);
-  for (const auto& r : session.receivers) {
-    EXPECT_TRUE(r.complete);
-    EXPECT_EQ(r.groups, groups);
-  }
+  EXPECT_EQ(session.payload_mismatches, 0u);
+  for (const auto& r : session.receivers) EXPECT_TRUE(r.complete);
 }
 
 TEST_P(UdpNp, FileTransferEndToEnd) {
-  // segment_blob -> UDP multicast -> reassemble_blob at each receiver.
+  // segment_blob -> UDP multicast -> every receiver decodes every TG
+  // byte-exact, so each one reassembles the blob.
   Rng rng(4);
   std::vector<std::uint8_t> blob(3000);
   for (auto& b : blob) b = static_cast<std::uint8_t>(rng());
 
   UdpNpConfig cfg = small_config();
   const auto groups64 = core::segment_blob(blob, cfg.k, cfg.packet_len);
-  std::vector<TgBytes> groups(groups64.begin(), groups64.end());
+  ASSERT_EQ(core::reassemble_blob(groups64), blob);
+  const std::vector<TgBytes> groups(groups64.begin(), groups64.end());
 
   const auto session = run_session(groups, 3, cfg, 0.15);
-  for (const auto& r : session.receivers) {
-    ASSERT_TRUE(r.complete);
-    std::vector<core::TgData> got(r.groups.begin(), r.groups.end());
-    EXPECT_EQ(core::reassemble_blob(got), blob);
-  }
+  EXPECT_EQ(session.payload_mismatches, 0u);
+  for (const auto& r : session.receivers) ASSERT_TRUE(r.complete);
 }
 
 TEST_P(UdpNp, ReceiverRejectsBadImpairmentConfig) {
-  ImpairmentConfig imp;
-  imp.drop_prob = 1.5;
-  EXPECT_THROW(
-      UdpNpReceiver(UdpSocket(), 1, 1, small_config(), 0.0, Rng(1), imp),
-      std::invalid_argument);
+  server::Reactor reactor;
+  ReceiverSessionDriver::Options opt;
+  opt.impairment.drop_prob = 1.5;
+  EXPECT_THROW(ReceiverSessionDriver(reactor, UdpSocket(), 1, 1,
+                                     small_config(), opt, nullptr),
+               std::invalid_argument);
 }
 
 TEST_P(UdpNp, DuplicationImpairedSessionCompletesExactlyOnce) {
@@ -186,9 +167,9 @@ TEST_P(UdpNp, DuplicationImpairedSessionCompletesExactlyOnce) {
   imp.seed = 101;
   imp.dup_prob = 0.3;
   const auto session = run_session(groups, 3, small_config(), 0.0, imp);
+  EXPECT_EQ(session.payload_mismatches, 0u);  // duplicates absorbed
   for (const auto& r : session.receivers) {
     ASSERT_TRUE(r.complete);
-    EXPECT_EQ(r.groups, groups);  // duplicates absorbed, bytes exact
     EXPECT_GT(r.impairment.duplicated, 0u);
     EXPECT_GT(r.duplicates, 0u);  // the decoder saw and dropped the copies
   }
@@ -209,28 +190,24 @@ TEST_P(UdpNp, AdversarialImpairmentTerminatesAndStaysExact) {
   imp.reorder_prob = 0.2;
   imp.reorder_window = 3;
   const auto session = run_session(groups, 3, small_config(), 0.0, imp);
+  EXPECT_EQ(session.payload_mismatches, 0u);
   for (const auto& r : session.receivers) {
     EXPECT_GT(r.impairment.processed, 0u);
     EXPECT_GT(r.impairment.corrupted + r.impairment.truncated +
                   r.impairment.reordered + r.impairment.duplicated,
               0u);
-    ASSERT_EQ(r.groups.size(), groups.size());
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (!r.groups[i].empty()) {  // reconstructed: must match exactly
-        EXPECT_EQ(r.groups[i], groups[i]);
-      }
-    }
   }
 }
 
 TEST_P(UdpNp, SenderRejectsWrongGroupShape) {
-  UdpSocket sock;
-  UdpGroup group;
+  server::Reactor reactor;
   UdpSocket rx;
+  UdpGroup group;
   group.add_member(rx.port());
-  UdpNpSender sender(std::move(sock), group, small_config());
-  std::vector<TgBytes> bad{TgBytes(3, std::vector<std::uint8_t>(128))};
-  EXPECT_THROW(sender.transfer(bad), std::invalid_argument);
+  const std::vector<TgBytes> bad{TgBytes(3, std::vector<std::uint8_t>(128))};
+  EXPECT_THROW(SenderSessionDriver(reactor, UdpSocket(), group,
+                                   small_config(), bad, nullptr),
+               std::invalid_argument);
 }
 
 // --- Reliable control plane over real sockets ------------------------
@@ -258,9 +235,9 @@ TEST_P(UdpNpReliable, CleanSessionConfirmsEveryTgPositively) {
       << session.sender.report.summary();
   EXPECT_GE(session.sender.acks_received, 3u * 3u);
   EXPECT_EQ(session.sender.evictions, 0u);
+  EXPECT_EQ(session.payload_mismatches, 0u);
   for (const auto& r : session.receivers) {
     EXPECT_TRUE(r.complete);
-    EXPECT_EQ(r.groups, groups);
     EXPECT_EQ(r.end_reason, UdpNpEndReason::kEndOfSession);
     EXPECT_GT(r.acks_sent, 0u);
   }
@@ -278,10 +255,10 @@ TEST_P(UdpNpReliable, SurvivesControlLossExactlyOnce) {
   EXPECT_TRUE(session.sender.report.complete)
       << session.sender.report.summary();
   EXPECT_EQ(session.sender.evictions, 0u);
+  EXPECT_EQ(session.payload_mismatches, 0u);  // bit-exact, exactly once
   std::uint64_t control_dropped = 0;
   for (const auto& r : session.receivers) {
     ASSERT_TRUE(r.complete);
-    EXPECT_EQ(r.groups, groups);  // bit-exact, exactly once
     control_dropped += r.impairment.control_dropped;
   }
   EXPECT_GT(control_dropped, 0u);
@@ -293,41 +270,25 @@ TEST_P(UdpNpReliable, CrashedReceiverIsEvictedOthersComplete) {
   cfg.packet_len = 64;
   cfg.retry.grace_rounds = 3;  // evict fast; the peer is really gone
   cfg.retry.max_retries = 6;
-
-  UdpSocket sender_socket;
-  const std::uint16_t sender_port = sender_socket.port();
-  UdpSocket live_sock, crash_sock;
-  UdpGroup group;
-  group.add_member(live_sock.port());
-  group.add_member(crash_sock.port());
-
   UdpNpConfig crash_cfg = cfg;
   crash_cfg.crash_after_tgs = 1;  // dies after the first TG
 
-  UdpNpReceiverResult live_result, crash_result;
-  std::thread live_thread([&, sock = std::move(live_sock)]() mutable {
-    UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(), cfg,
-                           0.0, Rng(99).split(0));
-    live_result = receiver.run(5.0);
-  });
-  std::thread crash_thread([&, sock = std::move(crash_sock)]() mutable {
-    UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(),
-                           crash_cfg, 0.0, Rng(99).split(1));
-    crash_result = receiver.run(5.0);
-  });
+  np_session::Session session(2);
+  const auto& live = session.add_receiver(0, groups.size(), cfg,
+                                          member_options(0, &groups));
+  const auto& crashed = session.add_receiver(1, groups.size(), crash_cfg,
+                                             member_options(1, &groups));
+  session.add_sender(cfg, groups);
+  ASSERT_TRUE(session.run()) << "watchdog fired";
+  const auto& stats = session.sender().stats();
 
-  UdpNpSender sender(std::move(sender_socket), group, cfg);
-  const auto stats = sender.transfer(groups);
-  live_thread.join();
-  crash_thread.join();
-
-  EXPECT_EQ(crash_result.end_reason, UdpNpEndReason::kCrashed);
+  EXPECT_EQ(crashed.result().end_reason, UdpNpEndReason::kCrashed);
   EXPECT_EQ(stats.evictions, 1u);
   ASSERT_EQ(stats.report.evicted.size(), 2u);
   EXPECT_TRUE(stats.report.evicted[1]);
-  EXPECT_FALSE(stats.report.complete);  // eviction = degraded exit
-  EXPECT_TRUE(live_result.complete);    // the live member got everything
-  EXPECT_EQ(live_result.groups, groups);
+  EXPECT_FALSE(stats.report.complete);     // eviction = degraded exit
+  EXPECT_TRUE(live.result().complete);     // the live member got everything
+  EXPECT_EQ(live.payload_mismatches(), 0u);
   EXPECT_GT(stats.poll_retries, 0u);  // silence forced re-POLLs first
 }
 
@@ -337,25 +298,29 @@ TEST_P(UdpNpReliable, EndReasonDistinguishesDrainFromStall) {
   // kDrainTimeout after drain_timeout, not the mid-session idle timeout.
   UdpNpConfig cfg = small_config();
   cfg.drain_timeout = 0.1;
-  UdpNpReceiver drained(UdpSocket(), 1, 0, cfg);
-  const auto drain = drained.run(5.0);
-  EXPECT_EQ(drain.end_reason, UdpNpEndReason::kDrainTimeout);
+  np_session::Session drain_session(1);
+  const auto& drained = drain_session.add_receiver(
+      0, 0, cfg, member_options(0, nullptr, 0.0, /*idle_timeout=*/5.0));
+  ASSERT_TRUE(drain_session.run());
+  EXPECT_EQ(drained.result().end_reason, UdpNpEndReason::kDrainTimeout);
 
   // A receiver still missing TGs whose sender goes silent is a stall.
-  UdpNpReceiver stalled(UdpSocket(), 1, 2, cfg);
-  const auto stall = stalled.run(0.1);
-  EXPECT_EQ(stall.end_reason, UdpNpEndReason::kMidSessionSilence);
-  EXPECT_FALSE(stall.complete);
+  np_session::Session stall_session(1);
+  const auto& stalled = stall_session.add_receiver(
+      0, 2, cfg, member_options(0, nullptr, 0.0, /*idle_timeout=*/0.1));
+  ASSERT_TRUE(stall_session.run());
+  EXPECT_EQ(stalled.result().end_reason, UdpNpEndReason::kMidSessionSilence);
+  EXPECT_FALSE(stalled.result().complete);
 }
 
 // --- Crash-tolerant sessions over real sockets -----------------------
 
 TEST_P(UdpNpCrash, SenderRestartResumesFromJournalAcrossLiveReceiver) {
-  // The receiver thread genuinely survives the sender's death here: one
-  // receiver runs across TWO sender lives.  Life 1 journals its progress
-  // through core::SessionJournal and dies after 10 datagrams; life 2
-  // reopens the journal on the SAME port, bumps the incarnation, skips
-  // the journaled TGs and finishes the transfer.
+  // One receiver driver runs across TWO sender lives.  Life 1 journals
+  // its progress through core::SessionJournal and dies after 10
+  // datagrams; its driver is destroyed, and life 2 reopens the journal
+  // on the SAME port, bumps the incarnation, skips the journaled TGs and
+  // finishes the transfer.
   const std::string journal = unique_test_path("session.log");
   std::remove(journal.c_str());
 
@@ -369,18 +334,10 @@ TEST_P(UdpNpCrash, SenderRestartResumesFromJournalAcrossLiveReceiver) {
   fresh.packet_len = static_cast<std::uint32_t>(cfg.packet_len);
   fresh.num_tgs = static_cast<std::uint32_t>(groups.size());
 
-  UdpSocket first_socket;
-  const std::uint16_t sender_port = first_socket.port();
-  UdpSocket rx_sock;
-  UdpGroup group;
-  group.add_member(rx_sock.port());
-
-  UdpNpReceiverResult result;
-  std::thread rx_thread([&, sock = std::move(rx_sock)]() mutable {
-    UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(), cfg,
-                           0.0, Rng(99).split(0));
-    result = receiver.run(10.0);
-  });
+  np_session::Session session(1);
+  const auto& receiver = session.add_receiver(
+      0, groups.size(), cfg,
+      member_options(0, &groups, 0.0, /*idle_timeout=*/10.0));
 
   UdpNpSenderStats life1;
   {
@@ -392,11 +349,14 @@ TEST_P(UdpNpCrash, SenderRestartResumesFromJournalAcrossLiveReceiver) {
     c1.on_parities_sent = [&sj](std::size_t tg, std::size_t hw) {
       sj.record_parities_sent(tg, hw);
     };
-    UdpNpSender sender(std::move(first_socket), group, c1);
-    life1 = sender.transfer(groups);
-  }  // the dead life's socket closes; its port frees up
+    auto& sender = session.add_sender(c1, groups);
+    ASSERT_TRUE(session.run_until([&] { return sender.finished(); }));
+    life1 = sender.stats();
+    session.end_sender_life();  // the dead life's socket closes
+  }
   EXPECT_TRUE(life1.crashed);
   EXPECT_LT(life1.data_sent, cfg.k * groups.size());
+  EXPECT_FALSE(receiver.finished());  // the receiver outlives the sender
 
   core::SessionJournal sj(journal, fresh);
   EXPECT_TRUE(sj.resumed());
@@ -410,18 +370,19 @@ TEST_P(UdpNpCrash, SenderRestartResumesFromJournalAcrossLiveReceiver) {
   c2.on_parities_sent = [&sj](std::size_t tg, std::size_t hw) {
     sj.record_parities_sent(tg, hw);
   };
-  UdpNpSender sender(UdpSocket(sender_port), group, c2);
-  const auto life2 = sender.transfer(groups);
-  rx_thread.join();
+  session.add_sender(c2, groups);
+  ASSERT_TRUE(session.run()) << "watchdog fired";
+  const auto life2 = session.sender().stats();
+  session.end_sender_life();
   std::remove(journal.c_str());
 
   EXPECT_FALSE(life2.crashed);
   EXPECT_GE(life2.tgs_skipped, 1u);  // journaled completions never resent
   EXPECT_TRUE(sj.state().all_complete());
   // Across both lives the receiver delivered everything exactly once.
-  EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.groups, groups);
-  EXPECT_EQ(result.end_reason, UdpNpEndReason::kEndOfSession);
+  EXPECT_TRUE(receiver.result().complete);
+  EXPECT_EQ(receiver.payload_mismatches(), 0u);
+  EXPECT_EQ(receiver.result().end_reason, UdpNpEndReason::kEndOfSession);
 }
 
 TEST_P(UdpNpCrash, StaleIncarnationDatagramsAreRejected) {
@@ -431,27 +392,20 @@ TEST_P(UdpNpCrash, StaleIncarnationDatagramsAreRejected) {
   UdpNpConfig cfg = small_config();
   const auto groups = random_groups(2, cfg.k, cfg.packet_len, 12);
 
-  UdpSocket sender_socket;
-  const std::uint16_t sender_port = sender_socket.port();
-  UdpSocket rx_sock;
-  UdpGroup group;
-  group.add_member(rx_sock.port());
-
   UdpNpConfig rx_cfg = cfg;
   rx_cfg.incarnation = 1;  // the receiver's world has moved on
   rx_cfg.drain_timeout = 0.2;
-  UdpNpReceiverResult result;
-  std::thread rx_thread([&, sock = std::move(rx_sock)]() mutable {
-    UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(),
-                           rx_cfg, 0.0, Rng(99).split(0));
-    result = receiver.run(0.5);
-  });
-
   UdpNpConfig tx_cfg = cfg;
   tx_cfg.incarnation = 0;  // a dead life still talking
-  UdpNpSender sender(std::move(sender_socket), group, tx_cfg);
-  const auto stats = sender.transfer(groups);
-  rx_thread.join();
+
+  np_session::Session session(1);
+  const auto& receiver = session.add_receiver(
+      0, groups.size(), rx_cfg,
+      member_options(0, &groups, 0.0, /*idle_timeout=*/0.5));
+  session.add_sender(tx_cfg, groups);
+  ASSERT_TRUE(session.run()) << "watchdog fired";
+  const auto& stats = session.sender().stats();
+  const auto& result = receiver.result();
 
   EXPECT_GT(stats.data_sent, 0u);
   EXPECT_GT(result.stale_rejected, 0u);
