@@ -4,11 +4,14 @@
 // DATA/PARITY packets on demand (lazily, or eagerly via pre_encode(), the
 // "pre-encoding" option evaluated in Fig 18).  TgDecoder accumulates any
 // packets of the block and reconstructs the group as soon as k distinct
-// packets have arrived (Section 2.1).
+// packets have arrived (Section 2.1), in one slab per TG.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fec/packet.hpp"
@@ -69,6 +72,12 @@ class TgEncoder {
   std::size_t encoded_count_ = 0;
 };
 
+/// Receive side of one TG.  Every shard is copied once, into a single
+/// slab allocated at the first stored packet: data packet i lands at
+/// data slot i (its final offset), and the parities needed to cover
+/// missing data are stored beside the k data slots.  decode() rebuilds
+/// only the missing data slots, in place, and release() frees the slab
+/// once the TG is consumed — the counters keep answering afterwards.
 class TgDecoder {
  public:
   TgDecoder(std::uint32_t tg_id, const RseCode& code, std::size_t packet_len);
@@ -77,7 +86,9 @@ class TgDecoder {
 
   /// Feeds a DATA or PARITY packet of this block.  Duplicate or foreign
   /// packets are ignored (returns false); fresh packets return true.
-  bool add(const Packet& packet);
+  /// Once the TG is decoded every further packet is a duplicate.
+  bool add(const PacketView& packet);
+  bool add(const Packet& packet) { return add(view_of(packet)); }
 
   std::size_t received() const noexcept { return received_count_; }
   /// Number of additional packets needed to reconstruct: max(0, k - received).
@@ -88,22 +99,55 @@ class TgDecoder {
   /// a metric the paper tracks in Section 2.1).
   std::size_t duplicates() const noexcept { return duplicates_; }
 
-  /// Reconstructs and returns the k data packets; requires decodable().
-  /// Idempotent; subsequent calls return the cached reconstruction.
+  /// Rebuilds the missing data slots in the slab; requires decodable().
+  /// A TG that lost no data packet does no GF work.  Idempotent.
+  void decode();
+  bool decoded() const noexcept { return decoded_; }
+
+  /// Data packet i < k of a decoded TG, where it sits in the slab (or in
+  /// the reconstruct() copy).  Valid until release().
+  std::span<const std::uint8_t> data(std::size_t i) const;
+
+  /// Reconstructs and returns the k data packets as owned vectors;
+  /// requires decodable().  Idempotent: later calls return the same
+  /// cached copy.  The slab is freed once the copy exists.
   const std::vector<std::vector<std::uint8_t>>& reconstruct();
+
+  /// Frees every payload byte this decoder holds; requires decoded().
+  /// received(), needed(), duplicates() and decoded_packets() keep
+  /// answering, and later packets still count as duplicates.
+  void release();
+
+  /// Payload bytes held (slab plus reconstruct() copy): 0 before the
+  /// first stored packet and after release().
+  std::size_t storage_bytes() const noexcept;
 
   /// Number of data packets that were actually rebuilt by RSE decoding
   /// (l in the paper; the per-receiver decode cost is proportional to it).
   std::size_t decoded_packets() const noexcept { return decoded_packets_; }
 
  private:
+  std::uint8_t* slot(std::size_t s) noexcept {
+    return slab_.get() + s * packet_len_;
+  }
+  bool has(std::size_t idx) const noexcept {
+    return (have_[idx / 64] >> (idx % 64)) & 1u;
+  }
+
   std::uint32_t tg_id_;
   const RseCode* code_;
   std::size_t packet_len_;
-  std::vector<std::optional<std::vector<std::uint8_t>>> shards_;  // size n
+  /// k data slots, then up to min(h, k) parity slots in arrival order.
+  std::unique_ptr<std::uint8_t[]> slab_;
+  std::array<std::uint64_t, 4> have_{};          ///< block indices seen (n <= 255)
+  std::array<std::uint8_t, 255> parity_index_{};  ///< block index per parity slot
+  std::size_t data_count_ = 0;    ///< data slots filled
+  std::size_t parity_count_ = 0;  ///< parity slots filled
   std::size_t received_count_ = 0;
   std::size_t duplicates_ = 0;
   std::size_t decoded_packets_ = 0;
+  bool decoded_ = false;
+  bool released_ = false;
   std::optional<std::vector<std::vector<std::uint8_t>>> result_;
 };
 

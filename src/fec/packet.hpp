@@ -69,6 +69,11 @@ struct PacketView {
   std::span<const std::uint8_t> payload;
 };
 
+/// A view of an owned packet, for the view-taking receive path.
+inline PacketView view_of(const Packet& packet) noexcept {
+  return {packet.header, packet.payload};
+}
+
 /// Writes the fixed 22-byte wire header into out[0, kHeaderWireSize).
 /// The payload bytes and the CRC trailer are the caller's job (see
 /// seal_frame) — this is the primitive the zero-copy encode path uses to

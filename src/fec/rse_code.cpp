@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 
 namespace pbl::fec {
 
@@ -12,6 +15,18 @@ RseCode::RseCode(std::size_t k, std::size_t n)
   if (k == 0 || k > n) throw std::invalid_argument("RseCode: need 0 < k <= n");
   if (n > 255)
     throw std::invalid_argument("RseCode: GF(2^8) limits the block to n <= 255");
+}
+
+const RseCode& RseCode::shared(std::size_t k, std::size_t n) {
+  // Never destroyed: drivers hold references until their own teardown,
+  // which may run during static destruction.
+  static std::mutex* mu = new std::mutex;
+  static auto* codes =
+      new std::map<std::pair<std::size_t, std::size_t>, std::unique_ptr<RseCode>>;
+  const std::lock_guard<std::mutex> lock(*mu);
+  auto& code = (*codes)[{k, n}];
+  if (!code) code = std::make_unique<RseCode>(k, n);
+  return *code;
 }
 
 namespace {

@@ -34,6 +34,11 @@ class RseCode {
   /// Creates a (k, n) systematic code; requires 0 < k <= n <= 255.
   RseCode(std::size_t k, std::size_t n);
 
+  /// The process-wide (k, n) code: built once on first use, then shared
+  /// read-only (a code is a pure function of k and n, and every method
+  /// is const).  Thread-safe; the code lives until the process exits.
+  static const RseCode& shared(std::size_t k, std::size_t n);
+
   std::size_t k() const noexcept { return k_; }
   std::size_t n() const noexcept { return n_; }
   std::size_t h() const noexcept { return n_ - k_; }

@@ -133,7 +133,7 @@ void append_auth_trailer(fec::Packet& packet, std::uint64_t key,
   put_le64(packet.payload.data() + base + 4, tag);
 }
 
-std::optional<std::uint32_t> verify_auth_trailer(const fec::Packet& packet,
+std::optional<std::uint32_t> verify_auth_trailer(const fec::PacketView& packet,
                                                  std::uint64_t key) {
   if (packet.payload.size() < kAuthTrailerSize) return std::nullopt;
   const std::uint8_t* trailer =
@@ -200,8 +200,8 @@ void PeerGuard::strike(Peer& peer, double now) {
   }
 }
 
-PeerVerdict PeerGuard::check(std::uint16_t src_port, const fec::Packet& packet,
-                             double now) {
+PeerVerdict PeerGuard::check(std::uint16_t src_port,
+                             const fec::PacketView& packet, double now) {
   const auto it = std::find(members_.begin(), members_.end(), src_port);
   if (it == members_.end()) {
     ++stats_.unknown_source;

@@ -135,7 +135,7 @@ void append_auth_trailer(fec::Packet& packet, std::uint64_t key,
 
 /// Verifies the trailer at the END of packet.payload; returns the fbseq
 /// on success, nullopt on missing/short payload or tag mismatch.
-std::optional<std::uint32_t> verify_auth_trailer(const fec::Packet& packet,
+std::optional<std::uint32_t> verify_auth_trailer(const fec::PacketView& packet,
                                                  std::uint64_t key);
 
 // ---- the guard ----------------------------------------------------------
@@ -152,8 +152,12 @@ class PeerGuard {
   /// Classifies one feedback datagram.  Only kAccept may touch protocol
   /// state; every other verdict was already counted and (where the source
   /// is an admitted member) struck against the peer.
-  PeerVerdict check(std::uint16_t src_port, const fec::Packet& packet,
+  PeerVerdict check(std::uint16_t src_port, const fec::PacketView& packet,
                     double now);
+  PeerVerdict check(std::uint16_t src_port, const fec::Packet& packet,
+                    double now) {
+    return check(src_port, fec::view_of(packet), now);
+  }
 
   /// True while member m is inside an unexpired ban.  The round closer
   /// skips banned members so one adversary cannot stall the group.

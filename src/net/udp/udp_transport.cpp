@@ -468,24 +468,64 @@ void UdpSocket::enqueue_received(std::uint16_t src,
   }
 }
 
-std::size_t UdpSocket::drain_ready() {
+namespace {
+
+#ifdef PBL_HAVE_MMSG
+// Receive scratch shared by every socket on a thread: kRxChunk max-size
+// datagram buffers plus the mmsg scaffolding (~1 MiB/thread).
+struct RxScratch {
+  std::vector<std::uint8_t> bufs =
+      std::vector<std::uint8_t>(kRxChunk * kMaxDatagram);
+  sockaddr_in srcs[kRxChunk];
+  iovec iovs[kRxChunk];
+  mmsghdr msgs[kRxChunk];
+#ifdef PBL_HAVE_UDP_OFFLOAD
+  alignas(cmsghdr) unsigned char ctrl[kRxChunk][CMSG_SPACE(sizeof(int))];
+#endif
+};
+
+// Borrows the thread's scratch.  A nested read on the same thread (a
+// sink that reads another socket before returning) gets a private one,
+// so the outer read's buffers are never overwritten under its views.
+class RxScratchLease {
+ public:
+  RxScratchLease() {
+    if (busy_) {
+      own_ = std::make_unique<RxScratch>();
+      scratch_ = own_.get();
+    } else {
+      busy_ = true;
+      scratch_ = &shared_;
+    }
+  }
+  ~RxScratchLease() {
+    if (!own_) busy_ = false;
+  }
+  RxScratchLease(const RxScratchLease&) = delete;
+  RxScratchLease& operator=(const RxScratchLease&) = delete;
+  RxScratch& operator*() const noexcept { return *scratch_; }
+
+ private:
+  static thread_local RxScratch shared_;
+  static thread_local bool busy_;
+  std::unique_ptr<RxScratch> own_;
+  RxScratch* scratch_ = nullptr;
+};
+
+thread_local RxScratch RxScratchLease::shared_;
+thread_local bool RxScratchLease::busy_ = false;
+#endif
+
+}  // namespace
+
+template <class OnDatagram>
+std::size_t UdpSocket::read_ready(OnDatagram&& on_datagram, bool& more) {
+  more = false;
 #ifdef PBL_HAVE_MMSG
   if (active_udp_backend() == UdpBackend::kBatched) {
-    // Scratch shared by every socket on this thread: kRxChunk max-size
-    // datagram buffers plus the mmsg scaffolding (~1 MiB/thread).
-    struct RxScratch {
-      std::vector<std::uint8_t> bufs =
-          std::vector<std::uint8_t>(kRxChunk * kMaxDatagram);
-      sockaddr_in srcs[kRxChunk];
-      iovec iovs[kRxChunk];
-      mmsghdr msgs[kRxChunk];
-#ifdef PBL_HAVE_UDP_OFFLOAD
-      alignas(cmsghdr) unsigned char ctrl[kRxChunk][CMSG_SPACE(sizeof(int))];
-#endif
-    };
-    thread_local RxScratch scratch;
+    const RxScratchLease lease;
+    RxScratch& scratch = *lease;
     std::memset(scratch.msgs, 0, sizeof(scratch.msgs));
-    std::memset(scratch.srcs, 0, sizeof(scratch.srcs));
     for (std::size_t i = 0; i < kRxChunk; ++i) {
       scratch.iovs[i].iov_base = scratch.bufs.data() + i * kMaxDatagram;
       scratch.iovs[i].iov_len = kMaxDatagram;
@@ -500,12 +540,14 @@ std::size_t UdpSocket::drain_ready() {
       }
 #endif
     }
-    timespec no_wait{0, 0};
     int n;
     do {
-      n = ::recvmmsg(fd_, scratch.msgs, kRxChunk, MSG_DONTWAIT, &no_wait);
+      n = ::recvmmsg(fd_, scratch.msgs, kRxChunk, MSG_DONTWAIT, nullptr);
     } while (n < 0 && errno == EINTR);
     if (n <= 0) return 0;
+    // A full chunk may have left more behind; a short one emptied the
+    // socket.
+    more = static_cast<std::size_t>(n) == kRxChunk;
     std::size_t datagrams = 0;
     for (int i = 0; i < n; ++i) {
       const std::span<const std::uint8_t> raw{
@@ -517,9 +559,7 @@ std::size_t UdpSocket::drain_ready() {
       if (gro_) seg = gro_segment_size(scratch.msgs[i].msg_hdr);
 #endif
       if (seg == 0 || seg >= raw.size()) {
-        // Impairment is applied per datagram in kernel receive order —
-        // exactly the order the fallback's one-at-a-time loop would see.
-        enqueue_received(src, raw);
+        on_datagram(src, raw);
         ++datagrams;
         continue;
       }
@@ -527,8 +567,7 @@ std::size_t UdpSocket::drain_ready() {
       // bytes.  Split first, so each datagram is impaired and parsed on
       // its own, in arrival order.
       for (std::size_t off = 0; off < raw.size(); off += seg) {
-        enqueue_received(src,
-                         raw.subspan(off, std::min(seg, raw.size() - off)));
+        on_datagram(src, raw.subspan(off, std::min(seg, raw.size() - off)));
         ++datagrams;
         ++gro_coalesced_;
       }
@@ -544,13 +583,44 @@ std::size_t UdpSocket::drain_ready() {
   std::uint8_t buf[kMaxDatagram];
   sockaddr_in src_addr{};
   socklen_t src_len = sizeof(src_addr);
-  const ssize_t got =
-      ::recvfrom(fd_, buf, sizeof(buf), MSG_DONTWAIT,
-                 reinterpret_cast<sockaddr*>(&src_addr), &src_len);
+  ssize_t got;
+  do {
+    got = ::recvfrom(fd_, buf, sizeof(buf), MSG_DONTWAIT,
+                     reinterpret_cast<sockaddr*>(&src_addr), &src_len);
+  } while (got < 0 && errno == EINTR);
   if (got < 0) return 0;
-  enqueue_received(ntohs(src_addr.sin_port),
-                   {buf, static_cast<std::size_t>(got)});
+  more = true;
+  on_datagram(ntohs(src_addr.sin_port),
+              std::span<const std::uint8_t>{buf, static_cast<std::size_t>(got)});
   return 1;
+}
+
+std::size_t UdpSocket::drain_ready() {
+  bool more = false;
+  return read_ready(
+      [this](std::uint16_t src, std::span<const std::uint8_t> bytes) {
+        enqueue_received(src, bytes);
+      },
+      more);
+}
+
+std::vector<fec::Packet> UdpSocket::salvage(
+    std::span<const std::uint8_t> bytes) {
+  // Corrupted/truncated in flight — or hostile garbage.  Scan for
+  // embedded sealed frames (bounded; see kSalvageLimit) and surface the
+  // desync evidence through the frame_resyncs/frames_skipped counters
+  // either way.
+  if (bytes.size() > kSalvageLimit) {
+    ++frames_skipped_;
+    return {};
+  }
+  FrameStreamDecoder dec;
+  dec.feed(bytes);
+  frame_resyncs_ += dec.resyncs();
+  frames_skipped_ += dec.skipped_invalid();
+  auto salvaged = dec.take();
+  if (salvaged.empty()) ++frames_skipped_;
+  return salvaged;
 }
 
 std::optional<Datagram> UdpSocket::parse_pending() {
@@ -568,24 +638,82 @@ std::optional<Datagram> UdpSocket::parse_pending() {
     try {
       return Datagram{raw.src_port, fec::deserialize(raw.bytes)};
     } catch (const std::invalid_argument&) {
-      // Corrupted/truncated in flight — or hostile garbage.  Scan for
-      // embedded sealed frames (bounded; see kSalvageLimit) and surface
-      // the desync evidence through the frame_resyncs/frames_skipped
-      // counters either way.
-      if (raw.bytes.size() <= kSalvageLimit) {
-        FrameStreamDecoder dec;
-        dec.feed(raw.bytes);
-        frame_resyncs_ += dec.resyncs();
-        frames_skipped_ += dec.skipped_invalid();
-        auto salvaged = dec.take();
-        if (salvaged.empty()) ++frames_skipped_;
-        for (auto& p : salvaged)
-          parsed_.push_back({raw.src_port, std::move(p)});
-      } else {
-        ++frames_skipped_;
-      }
+      for (auto& p : salvage(raw.bytes))
+        parsed_.push_back({raw.src_port, std::move(p)});
     }
   }
+}
+
+bool UdpSocket::deliver_datagram(std::uint16_t src,
+                                 std::span<const std::uint8_t> bytes,
+                                 void* ctx, ViewSink sink,
+                                 std::size_t& delivered) {
+  fec::PacketView view;
+  try {
+    view = fec::deserialize_view(bytes);
+  } catch (const std::invalid_argument&) {
+    auto salvaged = salvage(bytes);
+    for (std::size_t i = 0; i < salvaged.size(); ++i) {
+      ++delivered;
+      if (!sink(ctx, src, fec::view_of(salvaged[i]))) {
+        // parsed_ is empty here (deliver_queued emptied it first), so
+        // the unserved tail keeps its place at the head of the queue.
+        for (std::size_t j = i + 1; j < salvaged.size(); ++j)
+          parsed_.push_back({src, std::move(salvaged[j])});
+        return false;
+      }
+    }
+    return true;
+  }
+  ++delivered;
+  return sink(ctx, src, view);
+}
+
+bool UdpSocket::deliver_queued(void* ctx, ViewSink sink,
+                               std::size_t& delivered) {
+  for (;;) {
+    if (!parsed_.empty()) {
+      const Datagram d = std::move(parsed_.front());
+      parsed_.pop_front();
+      ++delivered;
+      if (!sink(ctx, d.src_port, fec::view_of(d.packet))) return false;
+      continue;
+    }
+    if (pending_.empty()) return true;
+    const RawDatagram raw = std::move(pending_.front());
+    pending_.pop_front();
+    if (!deliver_datagram(raw.src_port, raw.bytes, ctx, sink, delivered))
+      return false;
+  }
+}
+
+std::size_t UdpSocket::drain_views(void* ctx, ViewSink sink) {
+  std::size_t delivered = 0;
+  if (!deliver_queued(ctx, sink, delivered)) return delivered;
+  bool go = true;
+  bool more = true;
+  while (go && more) {
+    read_ready(
+        [&](std::uint16_t src, std::span<const std::uint8_t> bytes) {
+          if (impairment_) {
+            // Impaired datagrams keep the copying path: the impairment
+            // rewrites, duplicates and holds back bytes, and the whole
+            // chunk is impaired before any of it is parsed, as in
+            // receive_from().
+            enqueue_received(src, bytes);
+          } else if (go) {
+            go = deliver_datagram(src, bytes, ctx, sink, delivered);
+          } else {
+            // Already read off the socket after the sink stopped: keep
+            // it for the next call, in order.
+            pending_.push_back(
+                {src, std::vector<std::uint8_t>(bytes.begin(), bytes.end())});
+          }
+        },
+        more);
+    if (impairment_ && go) go = deliver_queued(ctx, sink, delivered);
+  }
+  return delivered;
 }
 
 std::optional<fec::Packet> UdpSocket::receive(double timeout_s) {
@@ -645,25 +773,6 @@ std::size_t UdpSocket::receive_batch(std::vector<fec::Packet>& out,
   drain_ready();
   take_pending();
   return produced;
-}
-
-void UdpGroup::multicast(UdpSocket& from, const fec::Packet& packet,
-                         std::optional<std::uint16_t> exclude) const {
-  // Serialize once; the same bytes fan out to every member as one batch.
-  const auto bytes = fec::serialize(packet);
-  multicast_frame(from, bytes, exclude);
-}
-
-void UdpGroup::multicast_frame(UdpSocket& from,
-                               std::span<const std::uint8_t> frame,
-                               std::optional<std::uint16_t> exclude) const {
-  std::vector<FrameRef> refs;
-  refs.reserve(members_.size());
-  for (const std::uint16_t port : members_) {
-    if (exclude && *exclude == port) continue;
-    refs.push_back({port, frame});
-  }
-  from.send_batch_blocking(refs);
 }
 
 }  // namespace pbl::net

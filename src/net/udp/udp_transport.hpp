@@ -2,9 +2,10 @@
 // sockets (examples/udp_multicast_demo, server/).
 //
 // Multicast is emulated by unicast fan-out on 127.0.0.1: a UdpGroup holds
-// the member ports and replicates each send.  This keeps the demo
-// independent of kernel multicast support while exercising the real wire
-// encoding (fec/packet.hpp) end to end.
+// the member ports, and a sender hands one FrameRef per member to
+// send_batch.  This keeps the demo independent of kernel multicast
+// support while exercising the real wire encoding (fec/packet.hpp) end
+// to end.
 //
 // Data plane: sends and receives are batched.  Where the libc provides
 // sendmmsg/recvmmsg (PBL_HAVE_MMSG at configure time) a whole batch of
@@ -34,6 +35,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fec/packet.hpp"
@@ -144,8 +146,8 @@ class UdpSocket {
   int fd() const noexcept { return fd_; }
 
   /// True when received datagrams are queued for parsing: a receive(0)
-  /// can return packets even if the descriptor is not readable, so
-  /// event-driven callers must drain until both are empty.
+  /// or drain() can return packets even if the descriptor is not
+  /// readable.
   bool has_pending() const noexcept {
     return !pending_.empty() || !parsed_.empty();
   }
@@ -190,6 +192,27 @@ class UdpSocket {
   /// appended to `out`, at most `max_packets`; returns how many.
   std::size_t receive_batch(std::vector<fec::Packet>& out,
                             std::size_t max_packets, double timeout_s);
+
+  /// Non-blocking in-place receive, the event-driven callers' path.
+  /// Calls `sink(src_port, view)` for every frame until the socket is
+  /// empty: datagrams still queued by an earlier call first, then
+  /// recvmmsg (recvfrom on the fallback backend) in a loop, splitting
+  /// GRO buffers.  Each datagram is parsed with fec::deserialize_view
+  /// where the kernel wrote it, so `view.payload` is valid only during
+  /// the call.  No poll() and no clock read.  Datagrams under an
+  /// installed Impairment, and frames salvaged from malformed ones, take
+  /// the copying queue in the same order receive_from() sees them.  A
+  /// sink returning false stops the drain; what was already read off
+  /// the socket stays queued for the next call.  Returns the frames
+  /// delivered.
+  template <class Sink>
+  std::size_t drain(Sink&& sink) {
+    return drain_views(
+        &sink, [](void* ctx, std::uint16_t src, const fec::PacketView& view) {
+          return static_cast<bool>(
+              (*static_cast<std::remove_reference_t<Sink>*>(ctx))(src, view));
+        });
+  }
 
   /// Routes every received datagram through an adversarial Impairment
   /// before parsing: drops, duplicates, bit corruption, truncation and
@@ -265,6 +288,25 @@ class UdpSocket {
   /// FrameStreamDecoder); nullopt when drained.
   std::optional<Datagram> parse_pending();
 
+  using ViewSink = bool (*)(void* ctx, std::uint16_t src_port,
+                            const fec::PacketView& view);
+  std::size_t drain_views(void* ctx, ViewSink sink);
+  /// Reads one receive chunk off the socket and hands every datagram
+  /// (GRO buffers split) to `on_datagram(src, bytes)` in kernel order.
+  /// Returns the datagrams read; `more` is false once the socket was
+  /// seen empty.
+  template <class OnDatagram>
+  std::size_t read_ready(OnDatagram&& on_datagram, bool& more);
+  /// Parses one datagram in place and delivers it (or the frames
+  /// salvaged from it).  Returns the sink's verdict.
+  bool deliver_datagram(std::uint16_t src, std::span<const std::uint8_t> bytes,
+                        void* ctx, ViewSink sink, std::size_t& delivered);
+  /// Delivers what earlier calls left in parsed_/pending_.
+  bool deliver_queued(void* ctx, ViewSink sink, std::size_t& delivered);
+  /// Runs a malformed datagram through FrameStreamDecoder (bounded; see
+  /// kSalvageLimit) and counts the desync evidence.
+  std::vector<fec::Packet> salvage(std::span<const std::uint8_t> bytes);
+
   /// A received datagram awaiting parsing, tagged with its source port.
   struct RawDatagram {
     std::uint16_t src_port = 0;
@@ -304,18 +346,6 @@ class UdpGroup {
   const std::vector<std::uint16_t>& members() const noexcept {
     return members_;
   }
-
-  /// Replicates the packet to every member (optionally excluding one,
-  /// e.g. the NAK's own sender).  Serializes once and fans the same
-  /// bytes out as a single batch.
-  void multicast(UdpSocket& from, const fec::Packet& packet,
-                 std::optional<std::uint16_t> exclude = std::nullopt) const;
-
-  /// Fan-out of pre-framed wire bytes (the zero-copy send path: arena
-  /// frames written by TgEncoder::write_*_frame go straight here).
-  void multicast_frame(UdpSocket& from, std::span<const std::uint8_t> frame,
-                       std::optional<std::uint16_t> exclude =
-                           std::nullopt) const;
 
  private:
   std::vector<std::uint16_t> members_;

@@ -151,7 +151,10 @@ bool Reactor::poll_once(double max_wait_s) {
   }
   if (wait < 0.0) wait = 0.0;
 
-  std::vector<int> ready;
+  // The ready list's storage is reused across waits; a poll_once nested
+  // in a handler starts from an empty list of its own.
+  std::vector<int> ready = std::move(ready_);
+  ready.clear();
   wait_ready(wait, ready);
 
   bool ran = false;
@@ -162,6 +165,7 @@ bool Reactor::poll_once(double max_wait_s) {
     it->second();  // may mutate handlers_/timers freely
     ran = true;
   }
+  ready_ = std::move(ready);
 
   // Fire due timers (cancellation-aware).  A timer fn may arm new ones;
   // any armed with when <= t fires later in this same loop, but only

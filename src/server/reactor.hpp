@@ -86,6 +86,7 @@ class Reactor {
 #ifdef __linux__
   std::vector<epoll_event> events_;  ///< epoll_wait output, one per fd
 #endif
+  std::vector<int> ready_;  ///< poll_once's ready list, kept for reuse
   bool stopped_ = false;
   std::unordered_map<int, std::function<void()>> handlers_;
   std::unordered_map<TimerId, std::function<void()>> timer_fns_;

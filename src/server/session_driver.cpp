@@ -11,6 +11,23 @@ namespace pbl::server {
 using protocol::Backoff;
 using protocol::Deadline;
 
+namespace {
+
+/// True when the decoded TG of k packets holds exactly `expected`.
+bool decoded_matches(const fec::TgDecoder& dec, std::size_t k,
+                     const net::TgBytes& expected) {
+  if (expected.size() != k) return false;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto got = dec.data(i);
+    if (!std::equal(got.begin(), got.end(), expected[i].begin(),
+                    expected[i].end()))
+      return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // SenderSessionDriver
 // ---------------------------------------------------------------------------
@@ -21,7 +38,8 @@ SenderSessionDriver::SenderSessionDriver(Reactor& reactor, net::UdpSocket socket
                                          const std::vector<net::TgBytes>& groups,
                                          std::function<void()> on_finished)
     : reactor_(reactor), socket_(std::move(socket)), group_(std::move(group)),
-      cfg_(config), groups_(groups), code_(config.k, config.k + config.h),
+      cfg_(config), groups_(groups),
+      code_(fec::RseCode::shared(config.k, config.k + config.h)),
       clk_(config.clock ? *config.clock : protocol::steady_clock()),
       on_finished_(std::move(on_finished)) {
   if (config.k + config.h > 255)
@@ -488,69 +506,68 @@ void SenderSessionDriver::send_poll() {
 }
 
 void SenderSessionDriver::on_readable() {
-  while (!finished_ && !stopped_) {
-    auto dg = socket_.receive_from(0.0);
-    if (!dg) {
-      if (!socket_.has_pending()) break;
-      continue;
-    }
-    const fec::Packet* nak = &dg->packet;
-    // Hostile-peer admission runs before ANY protocol state is touched:
-    // unknown sources, shape-invalid frames, identity spoofs, bad tags,
-    // replays and over-rate peers are counted and dropped here.
-    if (guard_ &&
-        guard_->check(dg->src_port, *nak, clk_.now()) !=
-            net::PeerVerdict::kAccept) {
-      stats_.guard = guard_->stats();
-      continue;
-    }
-    if (nak->header.type != fec::PacketType::kNak ||
-        nak->header.tg != static_cast<std::uint32_t>(tg_))
-      continue;
-    // Even with the guard off, feedback whose claimed identity
-    // contradicts the kernel-reported source never reaches liveness
-    // state (the header.index port-smuggling fix).  With the guard on
-    // the same check already ran (and struck the peer) inside check().
-    if (cfg_.reliable_control && !guard_ &&
-        nak->header.index != dg->src_port) {
-      ++stats_.feedback_addr_mismatch;
-      continue;
-    }
-    std::size_t m = group_.members().size();
-    if (cfg_.reliable_control) {
-      m = member_of(nak->header.index);
-      if (m < group_.members().size()) {
-        heard_[m] = true;
-        silent_[m] = 0;
-        if (nak->header.count == 0) {
-          ++stats_.acks_received;
-          deficit_[m] = 0;  // a serviced member is no longer lagging
-          if (!acked_[m]) {
-            acked_[m] = true;
-            delivered_[m][tg_] = true;
-          }
+  if (finished_ || stopped_) return;
+  socket_.drain([this](std::uint16_t src_port, const fec::PacketView& nak) {
+    on_feedback(src_port, nak);
+    return !finished_ && !stopped_;
+  });
+}
+
+void SenderSessionDriver::on_feedback(std::uint16_t src_port,
+                                      const fec::PacketView& nak) {
+  // Hostile-peer admission runs before ANY protocol state is touched:
+  // unknown sources, shape-invalid frames, identity spoofs, bad tags,
+  // replays and over-rate peers are counted and dropped here.
+  if (guard_ &&
+      guard_->check(src_port, nak, clk_.now()) != net::PeerVerdict::kAccept) {
+    stats_.guard = guard_->stats();
+    return;
+  }
+  if (nak.header.type != fec::PacketType::kNak ||
+      nak.header.tg != static_cast<std::uint32_t>(tg_))
+    return;
+  // Even with the guard off, feedback whose claimed identity
+  // contradicts the kernel-reported source never reaches liveness
+  // state (the header.index port-smuggling fix).  With the guard on
+  // the same check already ran (and struck the peer) inside check().
+  if (cfg_.reliable_control && !guard_ && nak.header.index != src_port) {
+    ++stats_.feedback_addr_mismatch;
+    return;
+  }
+  std::size_t m = group_.members().size();
+  if (cfg_.reliable_control) {
+    m = member_of(nak.header.index);
+    if (m < group_.members().size()) {
+      heard_[m] = true;
+      silent_[m] = 0;
+      if (nak.header.count == 0) {
+        ++stats_.acks_received;
+        deficit_[m] = 0;  // a serviced member is no longer lagging
+        if (!acked_[m]) {
+          acked_[m] = true;
+          delivered_[m][tg_] = true;
         }
       }
     }
-    if (nak->header.count > 0 && nak->header.seq == round_id_) {
-      // A quarantined member's NAK is liveness, not demand: its missing
-      // TGs are owed by the catch-up pass, where its NAKs count again.
-      if (!catchup_ && m < group_.members().size() && quarantined_[m]) {
-        ++stats_.naks_suppressed;
-        continue;
-      }
-      // Per-round feedback budget (Section 3.3 implosion control): NAKs
-      // past the budget are dropped this round; the next round's POLL
-      // re-collects anyone still unserved.
-      if (cfg_.overload.feedback_budget > 0 &&
-          round_naks_ >= cfg_.overload.feedback_budget) {
-        ++stats_.naks_suppressed;
-        continue;
-      }
-      ++round_naks_;
-      ++stats_.naks_received;
-      l_ = std::max(l_, static_cast<std::size_t>(nak->header.count));
+  }
+  if (nak.header.count > 0 && nak.header.seq == round_id_) {
+    // A quarantined member's NAK is liveness, not demand: its missing
+    // TGs are owed by the catch-up pass, where its NAKs count again.
+    if (!catchup_ && m < group_.members().size() && quarantined_[m]) {
+      ++stats_.naks_suppressed;
+      return;
     }
+    // Per-round feedback budget (Section 3.3 implosion control): NAKs
+    // past the budget are dropped this round; the next round's POLL
+    // re-collects anyone still unserved.
+    if (cfg_.overload.feedback_budget > 0 &&
+        round_naks_ >= cfg_.overload.feedback_budget) {
+      ++stats_.naks_suppressed;
+      return;
+    }
+    ++round_naks_;
+    ++stats_.naks_received;
+    l_ = std::max(l_, static_cast<std::size_t>(nak.header.count));
   }
 }
 
@@ -832,7 +849,7 @@ ReceiverSessionDriver::ReceiverSessionDriver(
     std::function<void()> on_finished)
     : reactor_(reactor), socket_(std::move(socket)), sender_port_(sender_port),
       num_tgs_(num_tgs), cfg_(config), opt_(std::move(options)),
-      code_(config.k, config.k + config.h),
+      code_(fec::RseCode::shared(config.k, config.k + config.h)),
       clk_(config.clock ? *config.clock : protocol::steady_clock()),
       on_finished_(std::move(on_finished)) {
   if (opt_.data_loss < 0.0 || opt_.data_loss >= 1.0)
@@ -951,21 +968,17 @@ void ReceiverSessionDriver::send_feedback(std::uint32_t tg, std::size_t count,
 }
 
 void ReceiverSessionDriver::on_readable() {
-  while (!finished_) {
-    auto dg = socket_.receive_from(0.0);
-    if (!dg) {
-      if (!socket_.has_pending()) break;
-      continue;
-    }
+  if (finished_) return;
+  socket_.drain([this](std::uint16_t src_port, const fec::PacketView& packet) {
     // Guarded receivers only listen to their sender: a peer injecting
     // frames directly at members (fake end markers, garbage repair) is
     // rejected on source address before any header field is believed.
-    if (cfg_.guard.enabled && dg->src_port != sender_port_) {
+    if (cfg_.guard.enabled && src_port != sender_port_)
       ++result_.foreign_rejected;
-      continue;
-    }
-    handle_packet(dg->packet);
-  }
+    else
+      handle_packet(packet);
+    return !finished_;
+  });
   if (!finished_) reschedule(idle_deadline());
 }
 
@@ -1002,7 +1015,8 @@ void ReceiverSessionDriver::on_wake() {
   reschedule(idle_deadline());
 }
 
-void ReceiverSessionDriver::accept_block_packet(const fec::Packet& packet) {
+void ReceiverSessionDriver::accept_block_packet(
+    const fec::PacketView& packet) {
   const auto& hdr = packet.header;
   if (hdr.k != cfg_.k || hdr.n != cfg_.k + cfg_.h ||
       hdr.index >= cfg_.k + cfg_.h || packet.payload.size() != cfg_.packet_len) {
@@ -1020,19 +1034,21 @@ void ReceiverSessionDriver::accept_block_packet(const fec::Packet& packet) {
     return;
   }
   if (dec.decodable() && !done_[hdr.tg]) {
-    const auto& data = dec.reconstruct();
+    dec.decode();
     result_.decoded += dec.decoded_packets();
     done_[hdr.tg] = true;
     ++done_count_;
     // Eager end-to-end verification: the server discards decoded bytes
     // (holding 1000 sessions' payloads would defeat the point), so the
-    // integrity check happens the moment a TG completes.
-    if (opt_.expected && data != (*opt_.expected)[hdr.tg])
+    // integrity check reads the TG's slab the moment it decodes, and
+    // the slab is freed right after.
+    if (opt_.expected && !decoded_matches(dec, cfg_.k, (*opt_.expected)[hdr.tg]))
       ++payload_mismatches_;
+    dec.release();
   }
 }
 
-void ReceiverSessionDriver::handle_packet(const fec::Packet& packet) {
+void ReceiverSessionDriver::handle_packet(const fec::PacketView& packet) {
   const auto& hdr = packet.header;
   // Authenticated control comes before EVERYTHING: an unverified POLL —
   // including a forged or replayed end marker — must not advance
@@ -1150,7 +1166,7 @@ void ReceiverSessionDriver::finish(net::UdpNpEndReason reason) {
   if (impairment_) {
     for (const auto& bytes : impairment_->drain()) {
       try {
-        const fec::Packet packet = fec::deserialize(bytes);
+        const fec::PacketView packet = fec::deserialize_view(bytes);
         if (packet.header.incarnation < known_inc_) {
           ++result_.stale_rejected;
           continue;

@@ -83,6 +83,8 @@ class SenderSessionDriver {
   enum class BurstPhase { kNone, kData, kParity, kCatchUpParity };
 
   void on_readable();
+  /// One feedback frame off the socket, parsed in place.
+  void on_feedback(std::uint16_t src_port, const fec::PacketView& nak);
   void on_window_expired();
   void begin_next_tg();
   void send_poll();
@@ -129,7 +131,7 @@ class SenderSessionDriver {
   net::UdpGroup group_;
   net::UdpNpConfig cfg_;
   const std::vector<net::TgBytes>& groups_;
-  fec::RseCode code_;
+  const fec::RseCode& code_;  ///< shared per (k, n)
   const protocol::Clock& clk_;
   std::function<void()> on_finished_;
 
@@ -268,8 +270,8 @@ class ReceiverSessionDriver {
  private:
   void on_readable();
   void on_wake();
-  void handle_packet(const fec::Packet& packet);
-  void accept_block_packet(const fec::Packet& packet);
+  void handle_packet(const fec::PacketView& packet);
+  void accept_block_packet(const fec::PacketView& packet);
   void send_feedback(std::uint32_t tg, std::size_t count, std::uint32_t seq);
   void finish(net::UdpNpEndReason reason);
   void reschedule(double next_due);
@@ -281,7 +283,7 @@ class ReceiverSessionDriver {
   std::size_t num_tgs_;
   net::UdpNpConfig cfg_;
   Options opt_;
-  fec::RseCode code_;
+  const fec::RseCode& code_;  ///< shared per (k, n)
   const protocol::Clock& clk_;
   std::function<void()> on_finished_;
   std::shared_ptr<net::Impairment> impairment_;

@@ -131,6 +131,14 @@ class Session {
 
   server::SenderSessionDriver& sender() { return *sender_; }
 
+  /// The socket bound to the sender port, for a test that plays the
+  /// sender by hand instead of through add_sender().
+  net::UdpSocket take_sender_socket() {
+    net::UdpSocket socket = std::move(sender_socket_.value());
+    sender_socket_.reset();
+    return socket;
+  }
+
   /// Starts every driver not yet started (receivers first) and runs the
   /// reactor until `done` holds.  Returns false when the watchdog fired
   /// first.  `done` is checked whenever a driver finishes.

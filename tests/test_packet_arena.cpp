@@ -212,17 +212,30 @@ TEST(PacketArenaDeathTest, TouchingReleasedFrameDiesUnderAsan) {
 // Without ASan the canary stamp is the detector: a stale writer that
 // scribbles on a freed frame is counted at the next acquire.
 TEST(PacketArena, CanaryCountsUseAfterFreeWriter) {
-  PacketArena arena(64, 1);
-  auto f = *arena.acquire();
-  std::uint8_t* stale = f.bytes.data();
-  arena.release(f);
-  stale[7] = 0x42;  // use-after-free write a real bug would make
-  auto g = arena.acquire();
-  ASSERT_TRUE(g.has_value());
-  EXPECT_EQ(arena.canary_violations(), 1u);
-  // The frame is still zero-filled for its new life despite the scribble.
-  EXPECT_TRUE(std::all_of(g->bytes.begin(), g->bytes.end(),
-                          [](std::uint8_t b) { return b == 0; }));
+  // 1050 bytes: the canary scan's word loop ends 2 bytes short of the
+  // frame, so the last byte is checked by the tail loop.
+  constexpr std::size_t kSize = 1050;
+  static_assert(kSize % 8 != 0);
+  PacketArena arena(kSize, 1);
+  std::size_t expected = 0;
+  for (const std::size_t at : {std::size_t{0}, std::size_t{7}, kSize / 2,
+                               kSize - 3, kSize - 1}) {
+    auto f = *arena.acquire();
+    std::uint8_t* stale = f.bytes.data();
+    arena.release(f);
+    stale[at] = 0x42;  // use-after-free write a real bug would make
+    auto g = arena.acquire();
+    ASSERT_TRUE(g.has_value());
+    EXPECT_EQ(arena.canary_violations(), ++expected) << "byte " << at;
+    // The frame is still zero-filled for its new life despite the scribble.
+    EXPECT_TRUE(std::all_of(g->bytes.begin(), g->bytes.end(),
+                            [](std::uint8_t b) { return b == 0; }));
+    arena.release(*g);
+  }
+  // An untouched release/acquire cycle adds nothing.
+  arena.release(*arena.acquire());
+  ASSERT_TRUE(arena.acquire().has_value());
+  EXPECT_EQ(arena.canary_violations(), expected);
 }
 #endif
 

@@ -5,6 +5,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/udp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,6 +14,9 @@
 #include <cerrno>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 namespace pbl::net {
 namespace {
@@ -90,7 +94,11 @@ TEST_P(UdpGroupTest, FansOutToAllMembers) {
   group.add_member(r2.port());
   group.add_member(r3.port());
   EXPECT_EQ(group.size(), 3u);
-  group.multicast(sender, sample_packet());
+  // Fan-out is one send_batch of the same frame bytes to every member.
+  const auto frame = fec::serialize(sample_packet());
+  std::vector<FrameRef> refs;
+  for (const std::uint16_t port : group.members()) refs.push_back({port, frame});
+  EXPECT_EQ(sender.send_batch(refs).sent, 3u);
   EXPECT_TRUE(r1.receive(2.0).has_value());
   EXPECT_TRUE(r2.receive(2.0).has_value());
   EXPECT_TRUE(r3.receive(2.0).has_value());
@@ -101,7 +109,11 @@ TEST_P(UdpGroupTest, ExcludeSkipsOneMember) {
   UdpGroup group;
   group.add_member(r1.port());
   group.add_member(r2.port());
-  group.multicast(sender, sample_packet(), r1.port());
+  const auto frame = fec::serialize(sample_packet());
+  std::vector<FrameRef> refs;
+  for (const std::uint16_t port : group.members())
+    if (port != r1.port()) refs.push_back({port, frame});
+  EXPECT_EQ(sender.send_batch(refs).sent, 1u);
   EXPECT_FALSE(r1.receive(0.1).has_value());
   EXPECT_TRUE(r2.receive(2.0).has_value());
 }
@@ -443,6 +455,193 @@ TEST_F(UdpOffloadTest, GroSplitsAShortTailAndImpairsEverySegment) {
   // One impairment decision per segment, not per coalesced buffer.
   EXPECT_EQ(impairment->stats().processed, 4u);
   EXPECT_EQ(impairment->stats().duplicated, 4u);
+}
+
+// ---- in-place drain -----------------------------------------------------
+
+/// One received frame, as either receive path reports it.
+struct Received {
+  std::uint16_t src_port = 0;
+  fec::PacketHeader header;
+  std::vector<std::uint8_t> payload;
+  bool operator==(const Received&) const = default;
+};
+
+struct DrainCase {
+  UdpBackend backend;
+  bool offload;   ///< false: ScopedUdpOffloadProbeFailure in scope
+  bool impaired;  ///< a seeded Impairment on the receivers
+};
+
+void PrintTo(const DrainCase& c, std::ostream* os) {
+  *os << to_string(c.backend) << (c.offload ? "" : " no-offload")
+      << (c.impaired ? " impaired" : " clean");
+}
+
+std::string drain_case_name(const ::testing::TestParamInfo<DrainCase>& info) {
+  return to_string(info.param.backend) +
+         (info.param.offload ? "" : "_no_offload") +
+         (info.param.impaired ? "_impaired" : "_clean");
+}
+
+class UdpDrainTest : public ::testing::TestWithParam<DrainCase> {
+ protected:
+  UdpDrainTest() {
+    if (!GetParam().offload) no_offload_.emplace();
+  }
+
+  /// Two receivers that see the same traffic from one sender, with the
+  /// same impairment schedule when the case is impaired.
+  void make_receivers() {
+    a_.emplace();
+    b_.emplace();
+    if (GetParam().impaired) {
+      ImpairmentConfig icfg;
+      icfg.seed = 17;
+      icfg.drop_prob = 0.1;
+      icfg.dup_prob = 0.2;
+      icfg.corrupt_prob = 0.15;
+      icfg.truncate_prob = 0.05;
+      icfg.reorder_prob = 0.2;
+      icfg.reorder_window = 3;
+      a_->set_impairment(std::make_shared<Impairment>(icfg));
+      b_->set_impairment(std::make_shared<Impairment>(icfg));
+    }
+  }
+
+  /// Sends the mixed traffic to both receivers, member-major: runs of
+  /// equal-size frames (GSO/GRO-coalesced where the kernel offers it),
+  /// frames wrapped in garbage and frames glued together (salvaged by
+  /// FrameStreamDecoder), garbage with no frame in it, and oversized
+  /// junk past the salvage bound.
+  void send_traffic(UdpSocket& tx) {
+    std::vector<std::vector<std::uint8_t>> wires;
+    for (std::uint32_t i = 0; i < 24; ++i)
+      wires.push_back(fec::serialize(packet_of(i, 300)));
+    for (std::uint32_t i = 24; i < 28; ++i)
+      wires.push_back(fec::serialize(packet_of(i, 0)));
+    // Seen from every garbage offset, the high seq and payload_len
+    // bytes read as implausible lengths, so the resync scan slides on
+    // to the frame instead of waiting for the rest of a long one.
+    std::vector<std::uint8_t> wrapped = {1, 2, 3, 4, 5, 6, 7};
+    const auto inner = fec::serialize(packet_of(0xA1B2C3D4u, 300));
+    wrapped.insert(wrapped.end(), inner.begin(), inner.end());
+    wrapped.insert(wrapped.end(), {9, 9, 9, 9, 9});
+    wires.push_back(wrapped);
+    std::vector<std::uint8_t> glued = fec::serialize(packet_of(101, 16));
+    const auto second = fec::serialize(packet_of(102, 16));
+    glued.insert(glued.end(), second.begin(), second.end());
+    wires.push_back(glued);
+    wires.push_back(std::vector<std::uint8_t>(64, 0xEE));
+    wires.push_back(std::vector<std::uint8_t>(5000, 0xEE));
+    auto truncated = fec::serialize(packet_of(103, 200));
+    truncated.resize(truncated.size() - 30);
+    wires.push_back(truncated);
+    for (std::uint32_t i = 200; i < 212; ++i)
+      wires.push_back(fec::serialize(packet_of(i, 120)));
+    std::vector<FrameRef> refs;
+    for (const UdpSocket* rx : {&*a_, &*b_})
+      for (const auto& w : wires) refs.push_back({rx->port(), w});
+    tx.send_batch_blocking(refs);
+  }
+
+  static std::vector<Received> via_receive_from(UdpSocket& rx) {
+    std::vector<Received> got;
+    while (auto d = rx.receive_from(0.1))
+      got.push_back({d->src_port, d->packet.header, d->packet.payload});
+    return got;
+  }
+
+  static std::vector<Received> via_drain(UdpSocket& rx) {
+    std::vector<Received> got;
+    for (;;) {
+      pollfd pfd{rx.fd(), POLLIN, 0};
+      if (!rx.has_pending() && ::poll(&pfd, 1, 100) <= 0) break;
+      rx.drain([&](std::uint16_t src, const fec::PacketView& v) {
+        got.push_back({src, v.header, {v.payload.begin(), v.payload.end()}});
+        return true;
+      });
+    }
+    return got;
+  }
+
+  void expect_same_counters() {
+    EXPECT_EQ(a_->gro_coalesced(), b_->gro_coalesced());
+    EXPECT_EQ(a_->frame_resyncs(), b_->frame_resyncs());
+    EXPECT_EQ(a_->frames_skipped(), b_->frames_skipped());
+  }
+
+  ScopedUdpBackendOverride backend_{GetParam().backend};
+  std::optional<ScopedUdpOffloadProbeFailure> no_offload_;
+  std::optional<UdpSocket> a_, b_;
+};
+
+std::vector<DrainCase> drain_cases() {
+  std::vector<DrainCase> cases;
+  for (const bool impaired : {false, true}) {
+    cases.push_back({UdpBackend::kBatched, true, impaired});
+    cases.push_back({UdpBackend::kBatched, false, impaired});
+    cases.push_back({UdpBackend::kFallback, true, impaired});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, UdpDrainTest,
+                         ::testing::ValuesIn(drain_cases()), drain_case_name);
+
+TEST_P(UdpDrainTest, YieldsTheSameFramesAndCountsAsReceiveFrom) {
+  UdpSocket tx;
+  make_receivers();
+  send_traffic(tx);
+  const auto want = via_receive_from(*a_);
+  const auto got = via_drain(*b_);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(got, want);
+  expect_same_counters();
+  for (const auto& r : got) EXPECT_EQ(r.src_port, tx.port());
+  if (!GetParam().impaired) {
+    // 24 + 4 + 12 clean frames, one salvaged from its wrapper, two from
+    // the glued datagram.
+    EXPECT_EQ(got.size(), 43u);
+    EXPECT_GT(b_->frame_resyncs(), 0u);
+    EXPECT_GT(b_->frames_skipped(), 0u);
+  }
+  if (b_->gro_enabled() && tx.gso_enabled()) {
+    EXPECT_GT(b_->gro_coalesced(), 0u);
+  }
+}
+
+TEST_P(UdpDrainTest, AStoppedDrainKeepsTheRestQueuedInOrder) {
+  UdpSocket tx;
+  make_receivers();
+  send_traffic(tx);
+  const auto want = via_receive_from(*a_);
+  ASSERT_GT(want.size(), 10u);
+  // Stop after every third frame: what was read but not handed over
+  // must come first on the next call.
+  std::vector<Received> got;
+  for (;;) {
+    pollfd pfd{b_->fd(), POLLIN, 0};
+    if (!b_->has_pending() && ::poll(&pfd, 1, 100) <= 0) break;
+    std::size_t taken = 0;
+    const std::size_t delivered =
+        b_->drain([&](std::uint16_t src, const fec::PacketView& v) {
+          got.push_back({src, v.header, {v.payload.begin(), v.payload.end()}});
+          return ++taken < 3;
+        });
+    EXPECT_EQ(delivered, taken);
+  }
+  EXPECT_EQ(got, want);
+  expect_same_counters();
+}
+
+TEST_P(UdpDrainTest, EmptySocketDeliversNothing) {
+  make_receivers();
+  EXPECT_EQ(b_->drain([](std::uint16_t, const fec::PacketView&) {
+    ADD_FAILURE() << "no frame was sent";
+    return true;
+  }),
+            0u);
 }
 
 TEST(UdpOffloadFallback, FailedProbeSendsOneDatagramPerFrame) {
